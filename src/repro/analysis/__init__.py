@@ -57,7 +57,6 @@ from repro.analysis.memdep import (
     resolve_pointer,
     static_footprint,
 )
-from repro.analysis.partition import check_sweep_partition
 from repro.analysis.syslint import (
     DmaTransfer,
     KernelFootprint,
@@ -88,7 +87,6 @@ __all__ = [
     "Location",
     "MemAccess",
     "MemRegion",
-    "check_sweep_partition",
     "PassDivergenceError",
     "ReachingDefinitions",
     "Severity",

@@ -20,9 +20,8 @@ from repro.core.llvm_interface import LLVMInterface
 from repro.hw.profile import HardwareProfile
 from repro.ir.module import Module
 
-#: Stage products, in pipeline order.  (``trace`` is a `ScheduleTrace`
-#: captured from a graph run — see `repro.engine.retime`.)
-ARTIFACT_KINDS = ("ast", "ir", "opt-ir", "design", "graph", "trace")
+#: Stage products, in pipeline order.
+ARTIFACT_KINDS = ("ast", "ir", "opt-ir", "design", "graph")
 
 
 def module_fingerprint(module: Module) -> str:

@@ -51,7 +51,6 @@ class StageCounters:
     optimize: int = 0
     elaborate: int = 0
     graph: int = 0
-    trace: int = 0
 
     def reset(self) -> None:
         for f in fields(self):
@@ -200,41 +199,6 @@ class BuildPipeline:
         meta = dict(design.meta) if isinstance(design, Artifact) else {}
         meta["graph_version"] = GRAPH_FORMAT_VERSION
         artifact = Artifact("graph", sim_graph, key=key, meta=meta)
-        if self.store is not None:
-            self.store.put(key, artifact)
-        return artifact
-
-    def trace(self, datapath_key: str, trace=None) -> Optional[Artifact]:
-        """Stage 6 (optional back half): the `ScheduleTrace` slot.
-
-        The re-simulation sibling of :meth:`graph` — traces are build
-        artifacts, content-addressed by the *datapath* half of the
-        two-level run key (`repro.exec.cache.split_cache_key`), stored
-        and shared exactly like compiled kernels and lowered graphs.
-
-        Lookup mode (``trace=None``): return the stored ``trace``
-        artifact for this datapath, or None.  Publish mode (``trace``
-        a `ScheduleTrace`): wrap, count (a capture is a stage
-        invocation — `STAGE_COUNTERS.trace`), store, return.
-        Capturing costs nothing extra (it rides on a full graph run),
-        so the recorded "stage time" is always ~0; the counter is what
-        the compile-once guards and ``/v1/stats`` consume.
-        """
-        from repro.engine.retime import trace_cache_key
-
-        key = trace_cache_key(datapath_key)
-        if trace is None:
-            if self.store is None:
-                return None
-            return self.store.get(key)
-        start = time.perf_counter()
-        trace.datapath_key = datapath_key
-        self._record("trace", time.perf_counter() - start,
-                     func_name=trace.func_name)
-        artifact = Artifact("trace", trace, key=key,
-                            meta={"func_name": trace.func_name,
-                                  "n_dyn": trace.n_dyn,
-                                  "blocks": len(trace.block_seq)})
         if self.store is not None:
             self.store.put(key, artifact)
         return artifact

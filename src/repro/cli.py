@@ -475,7 +475,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              point_timeout=args.point_timeout,
                              retries=args.retries, strict=args.strict,
                              artifact_store=store, engine=args.engine,
-                             retime=args.retime, checkpoint=checkpoint)
+                             checkpoint=checkpoint)
     points = executor.run(workload, {"ports": args.ports}, configure,
                           seed=args.seed)
     healthy = [point for point in points if point.ok]
@@ -494,15 +494,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"artifact cache  : {store.hits} hit(s), "
               f"{store.misses} miss(es)")
-    if args.retime or args.engine == "retime":
-        print(f"trace cache     : {executor.trace_hits} hit(s), "
-              f"{executor.trace_misses} miss(es)")
-        print(f"retimed points  : {executor.retimed_points} of {len(points)} "
-              f"({executor.datapath_groups} datapath group(s), "
-              f"{executor.trace_captures} trace(s) captured)")
-        report = executor.partition_report
-        for diag in (report.diagnostics if report is not None else []):
-            print(f"warning         : [{diag.code}] {diag.message}")
     if checkpoint is not None:
         print(f"checkpoint      : {checkpoint.resumed} point(s) resumed "
               f"from {checkpoint.path}")
@@ -639,8 +630,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     payload = run_bench(workloads=args.workloads, unroll=args.unroll,
                         seed=args.seed, quick=args.quick,
-                        repeats=args.repeats, serve_jobs=args.serve_jobs,
-                        sweep_ports=args.sweep_ports)
+                        repeats=args.repeats, serve_jobs=args.serve_jobs)
     path = write_bench(payload, args.out)
     header = (f"{'workload':12s} {'cycles':>10s} {'dynamic':>10s} "
               f"{'graph':>10s} {'speedup':>8s}  identical")
@@ -651,16 +641,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{row['dynamic_wall_s']:>9.3f}s {row['graph_wall_s']:>9.3f}s "
               f"{row['speedup']:>7.2f}x  "
               f"{'yes' if row['identical_stats'] else 'NO'}")
-    swp = payload.get("sweep")
-    if swp:
-        print(f"retime sweep    : {swp['workload']} x {swp['points']} "
-              f"memory-only points in {swp['retime_wall_s']:.3f}s vs "
-              f"dynamic {swp['dynamic_wall_s']:.3f}s / graph "
-              f"{swp['graph_wall_s']:.3f}s "
-              f"({swp['speedup_vs_dynamic']:.1f}x / "
-              f"{swp['speedup_vs_graph']:.1f}x, "
-              f"{swp['retimed_points']} retimed, rows "
-              f"{'identical' if swp['identical_rows'] else 'DIFFER'})")
     serve = payload.get("serve")
     if serve:
         print(f"serve dedup     : {serve['jobs']} duplicate jobs in "
@@ -669,8 +649,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"({serve['dedup_speedup']:.1f}x, "
               f"{serve['executed']} executed)")
     print(f"wrote {path}")
-    failures = check_bench(payload, min_speedup=args.min_speedup,
-                           min_sweep_speedup=args.min_sweep_speedup)
+    failures = check_bench(payload, min_speedup=args.min_speedup)
     for failure in failures:
         print(f"bench FAILED    : {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -793,12 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--artifact-dir", metavar="DIR",
                        help="content-addressed build-artifact store "
                             "(kernel compiles are cached across runs)")
-    p_run.add_argument("--engine", choices=["dynamic", "graph", "retime"],
+    p_run.add_argument("--engine", choices=["dynamic", "graph"],
                        default="dynamic",
                        help="execution backend: the dynamic event-queue "
-                            "engine, the graph-compiled fast path, or "
-                            "trace-replay re-timing (byte-identical stats; "
-                            "falls back for features it does not model)")
+                            "engine, or the graph-compiled fast path "
+                            "(byte-identical stats; falls back to dynamic "
+                            "for features it does not model)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="attach the runtime access sanitizer: vector-"
                             "clock race detection over every attributed "
@@ -833,16 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "points are appended as they finish, and a "
                               "re-run resumes from them instead of "
                               "re-simulating")
-    p_sweep.add_argument("--engine", choices=["dynamic", "graph", "retime"],
+    p_sweep.add_argument("--engine", choices=["dynamic", "graph"],
                          default="dynamic",
                          help="execution backend for every point (see "
                               "'run --engine')")
-    p_sweep.add_argument("--retime", action=argparse.BooleanOptionalAction,
-                         default=False,
-                         help="incremental re-simulation: one full graph "
-                              "run per distinct datapath, memory-only "
-                              "points re-timed from its captured schedule "
-                              "trace (byte-identical rows; see DESIGN.md)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -891,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--seed", type=int, default=7)
     p_submit.add_argument("--memory", choices=["spm", "cache", "ideal"],
                           default="spm")
-    p_submit.add_argument("--engine", choices=["dynamic", "graph", "retime"],
+    p_submit.add_argument("--engine", choices=["dynamic", "graph"],
                           default="dynamic")
     p_submit.add_argument("--func", help="entry function for kernel files")
     p_submit.add_argument("--passes", metavar="SPEC",
@@ -936,11 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", metavar="FILE", default="BENCH_9.json",
                          help="where to write the JSON record "
                               "(default: BENCH_9.json)")
-    p_bench.add_argument("--sweep-ports", type=int, nargs="*",
-                         default=[1, 2, 4, 8], metavar="P",
-                         help="memory-only port grid for the incremental "
-                              "re-simulation sweep bench (no values "
-                              "disables it)")
     p_bench.add_argument("--serve-jobs", type=int, default=20, metavar="N",
                          help="also bench the job server: N duplicate run "
                               "jobs vs N distinct ones (0 disables; quick "
@@ -950,11 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fail unless the graph engine reaches this "
                               "speedup over dynamic on the first workload "
                               "(CI uses 1.0)")
-    p_bench.add_argument("--min-sweep-speedup", type=float, default=0.0,
-                         metavar="RATIO",
-                         help="fail unless retime mode reaches this "
-                              "aggregate speedup over the dynamic sweep "
-                              "(the local gate is 5.0; CI smoke uses 1.0)")
     p_bench.set_defaults(handler=cmd_bench)
 
     return parser

@@ -106,23 +106,18 @@ class ComputeUnit(SimObject):
 
     def launch_compiled(self, graph, args: list,
                         on_done: Optional[Callable[[], None]] = None,
-                        max_ticks: Optional[int] = None,
-                        capture=None, replay=None) -> bool:
+                        max_ticks: Optional[int] = None) -> bool:
         """Run ``args`` through the graph-compiled backend instead of the
         dynamic engine (`repro.engine`).  Stats, energy, and the DONE /
         interrupt protocol land exactly where :meth:`launch` puts them.
         Returns False when ``max_ticks`` ended the run early (mirroring
-        the event queue's ``max_tick`` exit).
-
-        ``capture``/``replay`` are forwarded to the scheduler for the
-        incremental re-simulation machinery (`repro.engine.retime`)."""
+        the event queue's ``max_tick`` exit)."""
         from repro.engine.scheduler import GraphScheduler
 
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
         scheduler = GraphScheduler(graph, self)
-        completed = scheduler.run(args, max_ticks=max_ticks,
-                                  capture=capture, replay=replay)
+        completed = scheduler.run(args, max_ticks=max_ticks)
         if completed:
             self.total_busy_cycles += self.engine.total_cycles
             self.comm.mmr.set_done()

@@ -76,10 +76,6 @@ class EngineError(RuntimeError):
     instruction, launch protocol violation)."""
 
 
-#: Deprecated alias, kept for callers that imported the old name.
-RuntimeError_ = EngineError
-
-
 class DynInst:
     """A dynamic instance of a static CDFG node."""
 

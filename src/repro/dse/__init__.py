@@ -1,13 +1,12 @@
 """Design-space exploration harness (Sec. IV-D)."""
 
-from repro.dse.sweep import ParallelSweep, SweepPoint, grid_points, sweep
 from repro.dse.pareto import pareto_front
 from repro.dse.reports import format_table, to_csv, to_json
 from repro.exec.cache import RunCache
+from repro.exec.parallel import ParallelSweep, SweepPoint, grid_points
 
 __all__ = [
     "SweepPoint",
-    "sweep",
     "grid_points",
     "ParallelSweep",
     "RunCache",

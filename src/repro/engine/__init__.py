@@ -23,34 +23,20 @@ from repro.engine.graph import (
     compile_graph,
     graph_key,
 )
-from repro.engine.retime import (
-    TRACE_COUNTERS,
-    RetimeError,
-    ScheduleTrace,
-    TraceCapture,
-    trace_cache_key,
-)
 from repro.engine.scheduler import GraphScheduler
 
-ENGINES = ("dynamic", "graph", "retime")
+ENGINES = ("dynamic", "graph")
 
 
 def resolve_engine(requested: str, acc, max_events: Optional[int] = None,
-                   watchdog=None,
-                   schedule_trace=None) -> tuple[str, Optional[str]]:
+                   watchdog=None) -> tuple[str, Optional[str]]:
     """Pick the engine that will actually run.
 
     ``acc`` is a `StandaloneAccelerator`.  Returns ``(engine, reason)``
-    where ``reason`` explains a fallback (None when the request is
-    honoured).  The checks mirror what the graph backend models;
-    anything else must take the dynamic path so behaviour (and error
-    reporting) is unchanged.
-
-    ``retime`` shares every graph-engine prerequisite (it *is* the
-    graph scheduler, consuming captured content), plus one of its own:
-    a `ScheduleTrace` must be in hand.  Without one the request
-    degrades to a plain graph run — which the caller can capture from,
-    so the next memory configuration retimes.
+    where ``reason`` explains a graph->dynamic fallback (None when the
+    request is honoured).  The checks mirror what the graph backend
+    models; anything else must take the dynamic path so behaviour (and
+    error reporting) is unchanged.
     """
     if requested not in ENGINES:
         raise ValueError(
@@ -74,25 +60,16 @@ def resolve_engine(requested: str, acc, max_events: Optional[int] = None,
         return "dynamic", "pipeline trace attached"
     if acc.unit.comm.memctrl.strict_ranges:
         return "dynamic", "strictly-ordered memory regions"
-    if requested == "retime":
-        if schedule_trace is None:
-            return "graph", "no schedule trace captured for this datapath"
-        return "retime", None
     return "graph", None
 
 
 __all__ = [
     "ENGINES",
     "GRAPH_FORMAT_VERSION",
-    "TRACE_COUNTERS",
     "GraphLoweringError",
     "GraphScheduler",
-    "RetimeError",
-    "ScheduleTrace",
     "SimGraph",
-    "TraceCapture",
     "compile_graph",
     "graph_key",
     "resolve_engine",
-    "trace_cache_key",
 ]

@@ -78,7 +78,6 @@ def run_bench(
     quick: bool = False,
     repeats: int = 3,
     serve_jobs: int = 0,
-    sweep_ports=(1, 2, 4, 8),
 ) -> dict:
     """Benchmark every workload on both engines; return the JSON payload.
 
@@ -87,16 +86,12 @@ def run_bench(
     ``serve_jobs > 0`` additionally measures the job-server dedup layer
     (`repro.serve.bench`): N duplicate run jobs submitted concurrently
     vs N distinct ones, recorded under a ``serve`` section.
-    ``sweep_ports`` drives the incremental re-simulation bench
-    (`run_sweep_bench`), recorded under ``sweep``; empty/None skips it.
     """
     names = list(workloads) if workloads else list(BENCH_WORKLOADS)
     if quick:
         names = names[:1]
         repeats = min(repeats, 2)
         serve_jobs = min(serve_jobs, 5)
-        if sweep_ports:
-            sweep_ports = list(sweep_ports)[:3]
     payload: dict = {
         "bench": "engine-comparison",
         "unroll": unroll,
@@ -122,78 +117,11 @@ def run_bench(
             "graph_engine_used": graph["engine_used"],
             "graph_fallback_reason": graph["fallback_reason"],
         }
-    if sweep_ports:
-        payload["sweep"] = run_sweep_bench(workload=names[0],
-                                           ports=sweep_ports,
-                                           unroll=unroll, seed=seed)
     if serve_jobs > 0:
         from repro.serve.bench import run_serve_bench
 
         payload["serve"] = run_serve_bench(jobs=serve_jobs)
     return payload
-
-
-def run_sweep_bench(
-    workload: str = "gemm",
-    ports=(1, 2, 4, 8),
-    unroll: int = 4,
-    seed: int = 7,
-) -> dict:
-    """Sweep-level incremental re-simulation benchmark.
-
-    Times one memory-only port sweep (every point shares a datapath key;
-    only SPM/queue ports vary) three ways: the dynamic engine (the
-    sweep default), the graph engine, and retime mode — one full graph
-    run capturing a `ScheduleTrace`, every other point re-timed from it.
-    Rows must be byte-identical across all three; the headline number is
-    the aggregate wall-clock ratio of the baseline sweeps over the
-    retimed one.
-    """
-    from repro.core.config import DeviceConfig
-    from repro.exec.parallel import ParallelSweep
-    from repro.workloads import get_workload
-
-    wl = get_workload(workload)
-    grid = {"ports": [int(p) for p in ports]}
-
-    def configure(params):
-        p = params["ports"]
-        return dict(
-            config=DeviceConfig(read_ports=p, write_ports=max(1, p // 2)),
-            memory="spm", spm_bytes=1 << 16, spm_read_ports=p,
-            unroll_factor=unroll,
-        )
-
-    def timed(engine: str, retime: bool = False):
-        sweep = ParallelSweep(verify=False, engine=engine, retime=retime)
-        start = time.perf_counter()
-        points = sweep.run(wl, grid, configure, seed=seed)
-        return time.perf_counter() - start, points, sweep
-
-    dyn_s, dyn_pts, _ = timed("dynamic")
-    graph_s, graph_pts, _ = timed("graph")
-    retime_s, retime_pts, sweep = timed("graph", retime=True)
-
-    def rows(points):
-        return json.dumps([p.result.to_dict() for p in points],
-                          sort_keys=True)
-
-    identical = rows(dyn_pts) == rows(graph_pts) == rows(retime_pts)
-    return {
-        "workload": workload,
-        "ports": grid["ports"],
-        "unroll": unroll,
-        "points": len(retime_pts),
-        "dynamic_wall_s": round(dyn_s, 6),
-        "graph_wall_s": round(graph_s, 6),
-        "retime_wall_s": round(retime_s, 6),
-        "speedup_vs_dynamic": round(dyn_s / retime_s, 3) if retime_s else 0.0,
-        "speedup_vs_graph": round(graph_s / retime_s, 3) if retime_s else 0.0,
-        "identical_rows": identical,
-        "retimed_points": sweep.retimed_points,
-        "trace_captures": sweep.trace_captures,
-        "datapath_groups": sweep.datapath_groups,
-    }
 
 
 def write_bench(payload: dict, out: str) -> Path:
@@ -203,30 +131,15 @@ def write_bench(payload: dict, out: str) -> Path:
 
 
 def check_bench(payload: dict, min_speedup: float = 0.0,
-                gate_workload: Optional[str] = None,
-                min_sweep_speedup: float = 0.0) -> list[str]:
+                gate_workload: Optional[str] = None) -> list[str]:
     """CI gate: the failures in a bench payload (empty list = pass).
 
     Every workload must produce byte-identical stats and actually run on
     the graph engine; ``min_speedup`` additionally requires the
     graph/dynamic ratio on ``gate_workload`` (default: the first
-    measured workload) to reach that threshold.  When the payload
-    carries a ``sweep`` section (incremental re-simulation), its rows
-    must be byte-identical across engines and ``min_sweep_speedup``
-    gates the retime-vs-dynamic aggregate ratio.
+    measured workload) to reach that threshold.
     """
     failures: list[str] = []
-    sweep = payload.get("sweep")
-    if sweep is not None:
-        if not sweep.get("identical_rows"):
-            failures.append("sweep: retimed rows differ from full "
-                            "simulation")
-        if (min_sweep_speedup > 0.0
-                and sweep.get("speedup_vs_dynamic", 0.0) < min_sweep_speedup):
-            failures.append(
-                f"sweep: retime speedup {sweep.get('speedup_vs_dynamic')}x "
-                f"below the {min_sweep_speedup}x floor"
-            )
     rows = payload.get("workloads", {})
     for name, row in rows.items():
         if not row.get("identical_stats"):

@@ -87,46 +87,26 @@ class GraphScheduler:
             )
 
     # ------------------------------------------------------------------
-    def run(self, arg_values: list, max_ticks: Optional[int] = None,
-            capture=None, replay=None) -> bool:
+    def run(self, arg_values: list, max_ticks: Optional[int] = None) -> bool:
         """Simulate to completion.  Returns False if ``max_ticks`` cut
         the run short (the caller raises the dynamic engine's error).
-
-        ``capture`` (a `repro.engine.retime.TraceCapture`) records the
-        memory-parameter-independent run content — branch targets,
-        resolved addresses, encoded store bytes — as a side effect of a
-        normal full simulation.  ``replay`` (a `ScheduleTrace`) runs the
-        same loop in re-timing mode: all timing machinery executes
-        against the *current* memory configuration, but instruction
-        thunks, branch conditions, and memory codecs are skipped and
-        their outcomes consumed from the trace instead.  Every
-        scheduling decision consults only quantities that are identical
-        between replay and a full run at this configuration (addresses,
-        dependency structure, latencies, port limits), so the stats —
-        and the final memory image, via the captured store bytes — are
-        byte-identical to a full simulation.  The two modes are
-        mutually exclusive.
 
         The hot loop allocates tens of thousands of short-lived,
         acyclic records (dyn lists, operand vectors, bucket entries);
         generation-0 collections are pure overhead on them, so the
         collector is paused for the duration and restored on exit.
         """
-        if capture is not None and replay is not None:
-            raise EngineError(
-                f"{self.engine.name}: capture and replay are exclusive")
         import gc
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(arg_values, max_ticks, capture, replay)
+            return self._run(arg_values, max_ticks)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, arg_values: list, max_ticks: Optional[int] = None,
-             capture=None, replay=None) -> bool:
+    def _run(self, arg_values: list, max_ticks: Optional[int] = None) -> bool:
         g = self.graph
         engine = self.engine
         memctrl = self.memctrl
@@ -186,21 +166,6 @@ class GraphScheduler:
         spm_name = spm.name
         engine_name = engine.name
 
-        # -- trace capture / replay bindings ----------------------------
-        capturing = capture is not None
-        replaying = replay is not None
-        if capturing:
-            cap_targets = capture.targets
-            cap_addrs = capture.addrs
-            cap_store = capture.store_data
-        if replaying:
-            replay_addrs = replay.addrs
-            replay_store = replay.store_data
-            replay_blocks = replay.block_seq
-        else:
-            replay_addrs = None
-        branch_ptr = 1  # replay cursor: block_seq[0] is the entry block
-
         # -- operand templates: args never change during a run, so every
         # const and argument operand is bound once here; fetch only has
         # to resolve producer values.  ``init_vals[nid]`` is the operand
@@ -246,9 +211,7 @@ class GraphScheduler:
         decoders: list = [None] * g.n_nodes
         encoders: list = [None] * g.n_nodes
         for nid in range(g.n_nodes):
-            if replaying or not is_mem[nid]:
-                # Replay never decodes loads (results are unused) nor
-                # encodes stores (bytes come from the trace).
+            if not is_mem[nid]:
                 continue
             t = mem_type[nid]
             if isinstance(t, IntType):
@@ -404,11 +367,7 @@ class GraphScheduler:
                     dependent, index, is_addr = entry
                     dependent[5][index] = result
                     if is_addr:
-                        # Replay commits carry no value; the dependent's
-                        # address resolves *now* (same moment as a full
-                        # run) from the trace instead of the result.
-                        dependent[7] = (replay_addrs[dependent[1]]
-                                        if replaying else result)
+                        dependent[7] = result
                 else:
                     dependent = entry
                 dependent[3] -= 1
@@ -529,11 +488,7 @@ class GraphScheduler:
                         m_writes += 1
                     m_bytes += size
                     if ideal:
-                        # Replay skips the functional read (the loaded
-                        # value is never consumed) but keeps the write:
-                        # captured store bytes rebuild the exact image.
-                        data = (image.read(dyn[7], size)
-                                if is_read and not replaying else None)
+                        data = image.read(dyn[7], size) if is_read else None
                         if not is_read:
                             image.write(dyn[7], dyn[8])
                         done = cycle + ideal_lat
@@ -592,8 +547,8 @@ class GraphScheduler:
                     elif tag == _EV_SPM:
                         if kind[nid] == K_LOAD:
                             spm_reads += 1
-                            result = (None if replaying else decoders[nid](
-                                image.read(dyn[7], mem_size[nid])))
+                            result = decoders[nid](
+                                image.read(dyn[7], mem_size[nid]))
                             if trace_mem:
                                 emit_mem_trace(dyn, pump_cycle, cycle, True)
                             outstanding_reads -= 1
@@ -613,8 +568,7 @@ class GraphScheduler:
                         if kind[nid] == K_LOAD:
                             outstanding_reads -= 1
                             mem_window.remove(dyn)
-                            commit(dyn, None if replaying
-                                   else decoders[nid](payload), cycle)
+                            commit(dyn, decoders[nid](payload), cycle)
                         else:
                             outstanding_writes -= 1
                             mem_window.remove(dyn)
@@ -648,50 +602,25 @@ class GraphScheduler:
                     seq += 1
                     n_dyn_insts += 1
                     pending = 0
-                    if replaying:
-                        # Values are never read during replay, so the
-                        # template is shared uncopied (commits only ever
-                        # write None over the template's None slots).
-                        # Only the dependency *structure* matters; an
-                        # address resolves at the same moment as in a
-                        # full run — at fetch when its producer already
-                        # committed (or is template-fed), at the
-                        # producer's commit otherwise.
-                        addr_waiting = False
-                        if deps:
-                            for index, pnid, is_addr in deps:
-                                producer = last_inst[pnid]
-                                if (producer is not None
-                                        and producer[2] != COMMITTED):
-                                    pending += 1
-                                    producer[4].append((dyn, index, is_addr))
-                                    if is_addr:
-                                        addr_waiting = True
-                        dyn[5] = template
-                        if is_mem[nid]:
-                            if not addr_waiting:
-                                dyn[7] = replay_addrs[dyn[1]]
-                            mem_window.append(dyn)
+                    if deps:
+                        vals = template.copy()
+                        for index, pnid, is_addr in deps:
+                            producer = last_inst[pnid]
+                            if producer is None:
+                                vals[index] = 0
+                            elif producer[2] == COMMITTED:
+                                vals[index] = producer[6]
+                            else:
+                                pending += 1
+                                producer[4].append((dyn, index, is_addr))
                     else:
-                        if deps:
-                            vals = template.copy()
-                            for index, pnid, is_addr in deps:
-                                producer = last_inst[pnid]
-                                if producer is None:
-                                    vals[index] = 0
-                                elif producer[2] == COMMITTED:
-                                    vals[index] = producer[6]
-                                else:
-                                    pending += 1
-                                    producer[4].append((dyn, index, is_addr))
-                        else:
-                            vals = template  # no producer-fed slots: shared
-                        dyn[5] = vals
-                        if is_mem[nid]:
-                            value = vals[addr_index[nid]]
-                            if value is not None:
-                                dyn[7] = value
-                            mem_window.append(dyn)
+                        vals = template  # no producer-fed slots: shared
+                    dyn[5] = vals
+                    if is_mem[nid]:
+                        value = vals[addr_index[nid]]
+                        if value is not None:
+                            dyn[7] = value
+                        mem_window.append(dyn)
                     if produces_value[nid]:
                         previous = last_inst[nid]
                         if previous is not None and previous[2] != COMMITTED:
@@ -719,8 +648,7 @@ class GraphScheduler:
                 nkind = kind[nid]
                 if nkind == K_LOAD:
                     if dyn[7] is None:
-                        dyn[7] = (replay_addrs[dyn[1]] if replaying
-                                  else dyn[5][0])
+                        dyn[7] = dyn[5][0]
                     if conflicts(dyn) or outstanding_reads >= read_q_size:
                         retry.append(dyn)
                         continue
@@ -730,13 +658,10 @@ class GraphScheduler:
                     outstanding_reads += 1
                     n_loads += 1
                     issued_kinds.add("load")
-                    if capturing:
-                        cap_addrs[dyn[1]] = dyn[7]
                     read_queue.append(dyn)
                 elif nkind == K_STORE:
                     if dyn[7] is None:
-                        dyn[7] = (replay_addrs[dyn[1]] if replaying
-                                  else dyn[5][1])
+                        dyn[7] = dyn[5][1]
                     if conflicts(dyn) or outstanding_writes >= write_q_size:
                         retry.append(dyn)
                         continue
@@ -746,11 +671,7 @@ class GraphScheduler:
                     outstanding_writes += 1
                     n_stores += 1
                     issued_kinds.add("store")
-                    dyn[8] = (replay_store[dyn[1]] if replaying
-                              else encoders[nid](dyn[5][0]))
-                    if capturing:
-                        cap_addrs[dyn[1]] = dyn[7]
-                        cap_store[dyn[1]] = dyn[8]
+                    dyn[8] = encoders[nid](dyn[5][0])
                     write_queue.append(dyn)
                 else:
                     is_compute = nkind == K_COMPUTE
@@ -766,26 +687,14 @@ class GraphScheduler:
                         issued_kinds.add(issue_kind[nid])
                         reg_energy += read_energy[nid]
                         inflight_compute += 1
-                    if replaying:
-                        result = None  # thunks skipped: values unused
-                    else:
-                        thunk = evals[nid]
-                        result = thunk(dyn[5]) if thunk is not None else None
+                    thunk = evals[nid]
+                    result = thunk(dyn[5]) if thunk is not None else None
                     lat = latency[nid] if is_compute else 0
                     if nkind == K_BRANCH:
-                        # Branch issues are strictly sequential (block
-                        # N+1 is fetched only after block N's terminator
-                        # issues), so the i-th branch issue consumes
-                        # block_seq[i+1] — in replay *and* in capture.
-                        if replaying:
-                            target = replay_blocks[branch_ptr]
-                            branch_ptr += 1
-                        elif br_cond[nid]:
+                        if br_cond[nid]:
                             target = br_true[nid] if dyn[5][0] else br_false[nid]
                         else:
                             target = br_true[nid]
-                        if capturing:
-                            cap_targets.append(target)
                         fetch_queue.append((target, block_of[nid]))
                     elif nkind == K_RET:
                         ret_seen = True
@@ -866,15 +775,6 @@ class GraphScheduler:
                 end_cycle = cycle
                 completed = True
                 break
-
-        if capturing and completed:
-            capture.n_dyn = n_dyn_insts
-        if replaying and completed and (n_dyn_insts != replay.n_dyn
-                                        or branch_ptr != len(replay_blocks)):
-            raise EngineError(
-                f"{engine_name}: schedule trace replay diverged "
-                f"({n_dyn_insts} dynamic instructions vs {replay.n_dyn} "
-                f"captured, {branch_ptr}/{len(replay_blocks)} blocks)")
 
         # -- write-back: same stat objects, same final values -----------
         engine.stat_cycles.inc(n_cycles)

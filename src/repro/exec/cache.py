@@ -57,10 +57,10 @@ def split_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     text), entry function, dataset seed, pass pipeline, and the
     datapath-side kwargs per `repro.exec.params` (unclassified kwargs
     conservatively included).  The memory key covers only the
-    memory-side kwargs.  Two sweep points with equal datapath keys are
-    schedule-equivalent: one captured `ScheduleTrace` re-times both
-    (see `repro.engine.retime`), which is why traces are
-    content-addressed by the datapath key alone.
+    memory-side kwargs.  Its one consumer is `run_cache_key`, which
+    hashes the pair; the split form is kept so the key values stay
+    exactly what on-disk run caches, sweep checkpoints and serve
+    journals already hold.
 
     A non-default ``pipeline`` (pass spec, see `repro.passes.pipeline`)
     changes which optimizations shaped the datapath, so it joins the
@@ -99,8 +99,10 @@ def run_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     `StandaloneAccelerator` keyword arguments (config, memory,
     unroll_factor, SPM/cache/DRAM geometry, ...).  The flat key is the
     hash of the two-level ``(datapath_key, memory_key)`` pair from
-    `split_cache_key`, so run-cache identity and trace-cache identity
-    derive from one parameter partition (`repro.exec.params`).
+    `split_cache_key` (see `repro.exec.params` for the partition).
+    Consumers: `RunCache` entries (`SimContext`, `ParallelSweep`),
+    `SweepCheckpoint` rows, and the job server's submit-time cache
+    probe and run-job dedup key.
     """
     datapath_key, memory_key = split_cache_key(
         source, func_name, seed=seed, pipeline=pipeline, **acc_kwargs)

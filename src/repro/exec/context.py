@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.build.artifact import Artifact
 from repro.build.store import ArtifactStore
-from repro.exec.cache import RunCache, run_cache_key, split_cache_key
+from repro.exec.cache import RunCache, run_cache_key
 from repro.faults import FaultInjector, FaultPlan, SimWatchdog, coerce_watchdog
 from repro.ir.module import Module
 from repro.passes.pipeline import PipelineSpec
@@ -171,13 +171,6 @@ class SimContext:
         #: (no simulation happened); consumers like `repro.serve` use
         #: this to report cache hits per request.
         self.cache_hit = False
-        #: Trace-cache outcome of the last `run()` under
-        #: ``engine="retime"``: a stored `ScheduleTrace` was found
-        #: (trace_hit) or not (trace_miss); a fresh one was captured
-        #: and published (trace_captured).
-        self.trace_hit = False
-        self.trace_miss = False
-        self.trace_captured = False
 
     @classmethod
     def from_source(
@@ -214,16 +207,6 @@ class SimContext:
             raise ValueError("cache keys are only defined in workload mode")
         return run_cache_key(self.source, self.func_name, seed=self.seed,
                              pipeline=self.pipeline, **self.acc_kwargs)
-
-    def split_key(self) -> tuple[str, str]:
-        """The two-level ``(datapath_key, memory_key)`` content address
-        (workload mode).  Contexts with equal datapath keys are
-        schedule-equivalent: one `ScheduleTrace` re-times all of them
-        (see `repro.engine.retime`)."""
-        if self.workload is None:
-            raise ValueError("cache keys are only defined in workload mode")
-        return split_cache_key(self.source, self.func_name, seed=self.seed,
-                               pipeline=self.pipeline, **self.acc_kwargs)
 
     def build(self) -> StandaloneAccelerator:
         """Phase 1: compile (once, store-aware) and wire the system."""
@@ -298,52 +281,8 @@ class SimContext:
             self.reset()
         acc = self.build()
         args = self._args if self._args is not None else self.stage()
-        # Incremental re-simulation: under engine="retime" (workload
-        # mode, no faults), look up the ScheduleTrace for this context's
-        # *datapath* key in the artifact store and replay it against
-        # this memory configuration; on a miss, run the graph engine
-        # once with capture enabled and publish the trace so every
-        # later context sharing the datapath key re-times for free.
-        self.trace_hit = False
-        self.trace_miss = False
-        self.trace_captured = False
-        schedule_trace = None
-        capture_trace = False
-        datapath_key: Optional[str] = None
-        if (self.engine == "retime" and self.workload is not None
-                and not self.faults and not self.sanitize
-                and self.acc_kwargs.get("memory", "spm") != "cache"):
-            # (cache-backed memory can never replay — resolve_engine
-            # sends it down the dynamic path — so don't touch the
-            # trace store for it.)
-            from repro.build.pipeline import BuildPipeline
-            from repro.engine.retime import TRACE_COUNTERS
-
-            datapath_key = self.split_key()[0]
-            stored = BuildPipeline(store=self.artifact_store).trace(datapath_key)
-            if stored is not None:
-                TRACE_COUNTERS.hits += 1
-                self.trace_hit = True
-                schedule_trace = stored.payload
-            else:
-                TRACE_COUNTERS.misses += 1
-                self.trace_miss = True
-                capture_trace = True
         result = acc.run(args, max_ticks=self.max_ticks, max_events=self.max_events,
-                         watchdog=self._make_watchdog(acc.system),
-                         schedule_trace=schedule_trace,
-                         capture_trace=capture_trace)
-        if datapath_key is not None:
-            from repro.build.pipeline import BuildPipeline
-            from repro.engine.retime import TRACE_COUNTERS
-
-            if acc.engine_used == "retime":
-                TRACE_COUNTERS.retimed_runs += 1
-            if acc.captured_trace is not None:
-                TRACE_COUNTERS.captures += 1
-                self.trace_captured = True
-                BuildPipeline(store=self.artifact_store).trace(
-                    datapath_key, acc.captured_trace)
+                         watchdog=self._make_watchdog(acc.system))
         self._ran = True
         if self.trace_hub is not None:
             result.trace_summary = self.trace_hub.summary()

@@ -57,15 +57,11 @@ class SweepPoint:
     params: dict
     result: Optional[RunResult] = None
     failure: Optional[FailureRecord] = None
-    #: Engine that actually produced the result ("dynamic"/"graph"/
-    #: "retime"), "" when unknown (cache/checkpoint hits — no
-    #: simulation ran).
+    #: Engine that actually produced the result ("dynamic"/"graph"),
+    #: "" when unknown (cache/checkpoint hits — no simulation ran).
     engine_used: str = ""
     #: Why a requested engine degraded for this point ("" otherwise).
     fallback_reason: str = ""
-    #: True when the result came from re-timing a captured
-    #: `ScheduleTrace` instead of a full simulation.
-    retimed: bool = False
 
     @property
     def ok(self) -> bool:
@@ -95,12 +91,10 @@ class SweepPoint:
             issue_fraction=occupancy.issue_fraction() if occupancy else 0.0,
             status="ok" if self.ok else "failed",
             error="" if self.failure is None else self.failure.summary(),
-            # Stable provenance columns: which engine produced the row
-            # and whether it was re-timed from a captured trace, so
-            # retime-vs-full provenance survives into dse.reports.
+            # Stable provenance columns: which engine produced the row,
+            # so engine provenance survives into dse.reports.
             engine_used=self.engine_used,
             fallback_reason=self.fallback_reason,
-            retimed=self.retimed,
         )
         return row
 
@@ -119,8 +113,7 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
                    trace: Optional[TraceConfig] = None,
                    faults=None, watchdog=None,
                    timeout_s: Optional[float] = None,
-                   module=None, engine: str = "dynamic",
-                   artifact_store=None) -> dict:
+                   module=None, engine: str = "dynamic") -> dict:
     """Worker body: one full SimContext lifecycle, returned as a payload dict.
 
     Runs in a pool process (or inline for the serial path — the same
@@ -133,27 +126,19 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
     worker* by a wall-clock watchdog, which works identically for both
     paths.
 
-    ``artifact_store`` is only passed on the inline path (stores are
-    process-local); under ``engine="retime"`` it is where captured
-    `ScheduleTrace`s are published and found again.  The payload's
-    transient ``__engine__`` sidecar carries per-point provenance back
-    to the parent; it is popped before the result dict is cached,
-    checkpointed, or rehydrated.
+    The payload's transient ``__engine__`` sidecar carries per-point
+    provenance back to the parent; it is popped before the result dict
+    is cached, checkpointed, or rehydrated.
     """
     try:
         ctx = SimContext(workload, seed=seed, verify=verify, max_ticks=max_ticks,
                          trace=trace, faults=faults, watchdog=watchdog,
                          timeout_s=timeout_s, module=module, engine=engine,
-                         artifact_store=artifact_store,
                          **acc_kwargs)
         payload = ctx.run().to_dict()
         payload["__engine__"] = {
             "engine_used": ctx.engine_used or "",
             "fallback_reason": ctx.fallback_reason or "",
-            "retimed": ctx.engine_used == "retime",
-            "trace_hit": ctx.trace_hit,
-            "trace_miss": ctx.trace_miss,
-            "trace_captured": ctx.trace_captured,
         }
         return payload
     except Exception as exc:  # noqa: BLE001 - folded into a FailureRecord
@@ -200,23 +185,11 @@ class ParallelSweep:
     #: point's ``unroll_factor``; a non-default spec joins the run-cache
     #: key so differently-optimized runs never collide.
     pipeline: object = None
-    #: Execution backend for every point ("dynamic", "graph", or
-    #: "retime").  Engines are byte-identical, so they share run-cache
-    #: entries; points a backend cannot model fall back per-point (see
-    #: `repro.engine.resolve_engine`).
+    #: Execution backend for every point ("dynamic" or "graph").  The
+    #: graph engine is byte-identical, so it shares run-cache entries
+    #: with dynamic runs; points the graph backend cannot model fall
+    #: back per-point (see `repro.engine.resolve_engine`).
     engine: str = "dynamic"
-    #: Incremental re-simulation (equivalent to ``engine="retime"``):
-    #: points sharing a datapath key (`repro.exec.cache.split_cache_key`)
-    #: run one full graph simulation — capturing a `ScheduleTrace` —
-    #: and every other point of the group replays it against its own
-    #: memory configuration, byte-identical and much cheaper.  Points
-    #: the retimer cannot serve (faults, cache-backed memory,
-    #: unclassified parameters — conservatively given their own
-    #: datapath key) fall back to full simulation automatically, with
-    #: the reason recorded on the `SweepPoint`.  Forces the in-process
-    #: serial execution path: the trace store is process-local, and
-    #: within-group points are sequentially dependent anyway.
-    retime: bool = False
     #: Durable resume: a path (or `SweepCheckpoint`) recording every
     #: completed point; a re-run skips the points already on disk.
     #: After `run()`, ``checkpoint_resumed`` counts the skipped points.
@@ -276,41 +249,7 @@ class ParallelSweep:
                      SweepPoint(params=entries[index][0], result=result,
                                 failure=failure,
                                 engine_used=info.get("engine_used", ""),
-                                fallback_reason=info.get("fallback_reason", ""),
-                                retimed=bool(info.get("retimed"))))
-
-        retime_active = bool(self.retime) or self.engine == "retime"
-        self._retime_active = retime_active
-        self._exec_store = self.artifact_store
-        self.partition_report = None
-        self.datapath_groups = 0
-        self.trace_hits = 0
-        self.trace_misses = 0
-        self.trace_captures = 0
-        self.retimed_points = 0
-        if retime_active:
-            if self._exec_store is None:
-                # Captured traces must outlive a single point even when
-                # the caller attached no store; an ephemeral in-memory
-                # store scopes the sharing to this sweep.
-                from repro.build.store import ArtifactStore
-
-                self._exec_store = ArtifactStore()
-            # DEP204: diagnose grid parameters the datapath/memory
-            # partition does not classify (they silently force full
-            # re-simulation), and report the grouping structure.
-            from repro.analysis.partition import check_sweep_partition
-            from repro.exec.cache import split_cache_key
-
-            self.partition_report = check_sweep_partition(
-                [kwargs for __, kwargs, __ in entries],
-                subject=f"sweep:{workload.name}")
-            groups: set[str] = set()
-            for __, kwargs, __ in entries:
-                groups.add(split_cache_key(
-                    workload.source, workload.func_name, seed=seed,
-                    pipeline=self.pipeline, **kwargs)[0])
-            self.datapath_groups = len(groups)
+                                fallback_reason=info.get("fallback_reason", "")))
 
         ckpt = SweepCheckpoint.coerce(self.checkpoint)
         ckpt_rows = ckpt.load() if ckpt is not None else {}
@@ -368,10 +307,6 @@ class ParallelSweep:
             # byte-identical no matter which engine produced them.
             info = payload.pop("__engine__", None) or {}
             infos[index] = info
-            self.trace_hits += 1 if info.get("trace_hit") else 0
-            self.trace_misses += 1 if info.get("trace_miss") else 0
-            self.trace_captures += 1 if info.get("trace_captured") else 0
-            self.retimed_points += 1 if info.get("retimed") else 0
             result = RunResult.from_dict(payload)
             results[index] = result
             if key is not None:
@@ -383,8 +318,7 @@ class ParallelSweep:
             SweepPoint(params=params, result=results[index],
                        failure=failures[index],
                        engine_used=infos[index].get("engine_used", ""),
-                       fallback_reason=infos[index].get("fallback_reason", ""),
-                       retimed=bool(infos[index].get("retimed")))
+                       fallback_reason=infos[index].get("fallback_reason", ""))
             for index, (params, __, ___) in enumerate(entries)
         ]
 
@@ -460,29 +394,14 @@ class ParallelSweep:
             if progress is not None:
                 progress(slot, payload)
 
-        retime_active = getattr(self, "_retime_active",
-                                self.engine == "retime" or bool(self.retime))
-        engine = "retime" if retime_active else self.engine
-        # Stores are process-local, so only the inline path gets one —
-        # and only under retime, where trace sharing is the whole point
-        # (the plain inline path keeps its historical no-store
-        # behaviour, preserving compile-once accounting).
-        store = (getattr(self, "_exec_store", self.artifact_store)
-                 if retime_active else None)
-
         def run_inline(slot: int) -> dict:
             __, __, kwargs, plan = pending[slot]
             return _execute_point(workload, kwargs, seed, self.verify,
                                   self.max_ticks, trace, plan, wd_spec,
                                   self.point_timeout, modules[slot],
-                                  engine, store)
+                                  self.engine)
 
-        if self.workers == 1 or len(pending) <= 1 or retime_active:
-            # Retime sweeps run serially in-process by design: content
-            # addressing does the grouping (the first point of each
-            # datapath group captures, the rest replay from the shared
-            # store), and a replay is cheap enough that fan-out would
-            # cost more in capture duplication than it buys.
+        if self.workers == 1 or len(pending) <= 1:
             for slot in range(len(pending)):
                 record(slot, run_inline(slot))
             return [payloads[slot] for slot in range(len(pending))]

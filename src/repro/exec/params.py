@@ -1,31 +1,25 @@
 """The datapath/memory parameter partition — single source of truth.
 
-The incremental re-simulation machinery (see DESIGN.md, "Incremental
-re-simulation") rests on one fact: a kernel's dynamic schedule *content*
-— the values every instruction computes, the branch outcomes, and the
-resolved memory addresses — depends only on the datapath-side inputs
-(kernel, dataset seed, pass pipeline, FU structure), never on the
-memory-system timing.  Memory-side parameters change *when* things
-happen, not *what* happens, so a `ScheduleTrace` captured once per
-datapath configuration can be re-timed against any memory configuration
-(`repro.engine.retime`).
+A kernel's dynamic schedule *content* — the values every instruction
+computes, the branch outcomes, and the resolved memory addresses —
+depends only on the datapath-side inputs (kernel, dataset seed, pass
+pipeline, FU structure), never on the memory-system timing.
+Memory-side parameters change *when* things happen, not *what* happens.
 
 This module declares which `StandaloneAccelerator` keyword argument
-falls on which side.  Everything keys off these sets:
+falls on which side.  Two consumers key off these sets:
 
-* `repro.exec.cache.run_cache_key` builds its two-level
-  ``(datapath_key, memory_key)`` hash from `split_acc_kwargs`;
+* `repro.exec.cache.run_cache_key` is the digest of the two-level
+  ``(datapath_key, memory_key)`` pair that `split_cache_key` builds
+  from `split_acc_kwargs`.  Run caches, sweep checkpoints and the job
+  server's dedup keys are all addressed by it;
 * `repro.engine.graph.graph_key` drops the memory-side `DeviceConfig`
-  fields so compiled graphs are shared across memory-only sweeps;
-* `ParallelSweep` groups grid points by datapath key and re-times
-  within each group;
-* `repro.analysis.partition` raises DEP204 when a sweep varies a
-  parameter classified on neither side (those points silently fall back
-  to full re-simulation).
+  fields, so every point of a memory-only sweep shares one lowered
+  graph.
 
 A kwarg not in any set is treated as **datapath-side** by every
-consumer: unknown parameters conservatively get their own trace (i.e.
-a full simulation), never an unsound reuse.
+consumer: an unknown parameter can only make keys more specific, never
+make two different designs share a graph.
 
 `DeviceConfig` is special-cased: it is one object holding knobs from
 both sides, so it is split field-wise (`split_device_config`) using
@@ -37,8 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 #: `StandaloneAccelerator` kwargs that shape the datapath schedule:
-#: they change computed values, branch outcomes, or resolved addresses,
-#: so any difference here invalidates a captured `ScheduleTrace`.
+#: they change computed values, branch outcomes, or resolved addresses.
 #: (``config`` is split field-wise — see `CONFIG_DATAPATH_FIELDS`.)
 DATAPATH_PARAMS = frozenset({
     "config",
@@ -46,12 +39,10 @@ DATAPATH_PARAMS = frozenset({
     "unroll_factor",
 })
 
-#: Kwargs that only tune memory-system timing: the schedule trace is
-#: invariant under any change confined to these, so sweep points that
-#: differ only here share one datapath simulation and re-time the rest.
-#: ``memory`` itself is memory-side: "spm" and "ideal" stage identical
-#: addresses (same base, same allocator), and "cache" never reaches the
-#: retimer at all (`resolve_engine` falls back to the dynamic engine).
+#: Kwargs that only tune memory-system timing: the schedule content is
+#: invariant under any change confined to these.  ``memory`` itself is
+#: memory-side: "spm" and "ideal" stage identical addresses (same base,
+#: same allocator).
 MEMORY_PARAMS = frozenset({
     "memory",
     "spm_bytes",
@@ -112,8 +103,8 @@ def split_device_config(config) -> tuple[dict, dict]:
 
     Returns ``(datapath_fields, memory_fields)`` as plain dicts.  An
     unknown field (a future knob added to `DeviceConfig` but not to the
-    field sets above) lands on the datapath side — conservatively
-    invalidating traces rather than unsoundly reusing them.
+    field sets above) lands on the datapath side, so it joins
+    `graph_key` rather than being silently ignored by it.
     """
     payload = config if isinstance(config, dict) else config.to_dict()
     datapath: dict = {}
@@ -131,9 +122,8 @@ def split_acc_kwargs(acc_kwargs: dict) -> tuple[dict, dict, list[str]]:
     ``datapath`` and ``memory`` are the two halves of the two-level
     cache key (`repro.exec.cache.split_cache_key`); ``unclassified``
     names the kwargs that fell on the datapath side only because no
-    declaration covers them (DEP204 material — see
-    `repro.analysis.partition`).  Execution-machinery kwargs are
-    dropped entirely, exactly as the flat key always excluded them.
+    declaration covers them.  Execution-machinery kwargs are dropped
+    entirely, exactly as the flat key always excluded them.
     """
     datapath: dict = {}
     memory: dict = {}

@@ -212,7 +212,6 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         retry_backoff_s=float(spec.get("backoff_s", 0.1)),
         artifact_store=state.artifact_store,
         engine=spec.get("engine", "dynamic"),
-        retime=bool(spec.get("retime", False)),
         checkpoint=state.sweep_checkpoint_path(spec),
     )
     publish("compiling")
@@ -231,20 +230,8 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         row = point.record()
         row["pareto"] = point in front
         rows.append(row)
-    out = {"rows": rows, "failed": sum(1 for p in points if not p.ok),
-           "resumed": resumed}
-    if getattr(executor, "_retime_active", False):
-        out["retime"] = {
-            "datapath_groups": executor.datapath_groups,
-            "trace_hits": executor.trace_hits,
-            "trace_misses": executor.trace_misses,
-            "trace_captures": executor.trace_captures,
-            "retimed_points": executor.retimed_points,
-            "warnings": [d.message for d in
-                         executor.partition_report.diagnostics]
-            if executor.partition_report is not None else [],
-        }
-    return out
+    return {"rows": rows, "failed": sum(1 for p in points if not p.ok),
+            "resumed": resumed}
 
 
 def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
@@ -328,7 +315,6 @@ class ServerState:
 
     def cache_stats(self) -> dict:
         from repro.build import STAGE_COUNTERS
-        from repro.engine.retime import TRACE_COUNTERS
 
         stats = {
             "run_cache": {
@@ -338,7 +324,6 @@ class ServerState:
                 "quarantined": self.run_cache.quarantined,
             },
             "stage_counters": STAGE_COUNTERS.snapshot(),
-            "trace_cache": TRACE_COUNTERS.snapshot(),
         }
         store = self.artifact_store
         stats["artifact_store"] = {

@@ -129,9 +129,6 @@ class StandaloneAccelerator:
         self.engine_used: Optional[str] = None
         #: Why a graph request fell back to dynamic (None otherwise).
         self.fallback_reason: Optional[str] = None
-        #: `ScheduleTrace` captured by the most recent run() when
-        #: ``capture_trace`` was set (None otherwise).
-        self.captured_trace = None
         self.artifact_store = artifact_store
         self._graph = None
         self.config = config or DeviceConfig()
@@ -250,59 +247,29 @@ class StandaloneAccelerator:
 
     def run(self, args: list, max_ticks: Optional[int] = None,
             max_events: Optional[int] = None, watchdog=None,
-            engine: Optional[str] = None,
-            schedule_trace=None, capture_trace: bool = False) -> RunResult:
-        """Run to completion and collect a `RunResult`.
-
-        ``schedule_trace`` enables the ``retime`` engine: the graph
-        scheduler replays the captured content against *this* memory
-        configuration (see `repro.engine.retime`).  ``capture_trace``
-        asks a graph run to record a trace as a side effect; it lands on
-        :attr:`captured_trace`.  A retime request degrades to a plain
-        graph run (with ``fallback_reason`` set) when no usable trace is
-        available — and still honours ``capture_trace``, so the caller
-        can capture-on-miss.
-        """
-        from repro.engine import (
-            GraphLoweringError,
-            RetimeError,
-            TraceCapture,
-            resolve_engine,
-        )
+            engine: Optional[str] = None) -> RunResult:
+        from repro.engine import GraphLoweringError, resolve_engine
 
         requested = engine if engine is not None else self.engine_request
         chosen, reason = resolve_engine(requested, self,
                                         max_events=max_events,
-                                        watchdog=watchdog,
-                                        schedule_trace=schedule_trace)
+                                        watchdog=watchdog)
         graph = None
-        self.captured_trace = None
-        if chosen in ("graph", "retime"):
+        if chosen == "graph":
             try:
                 graph = self._compiled_graph()
             except GraphLoweringError as exc:
                 chosen, reason = "dynamic", f"lowering failed: {exc}"
-        if chosen == "retime":
-            try:
-                schedule_trace.validate(graph, self.func_name)
-            except RetimeError as exc:
-                chosen, reason = "graph", f"unusable schedule trace: {exc}"
         self.engine_used = chosen
         self.fallback_reason = reason
-        if chosen in ("graph", "retime"):
-            replay = schedule_trace if chosen == "retime" else None
-            cap = (TraceCapture()
-                   if capture_trace and replay is None else None)
+        if chosen == "graph":
             completed = self.unit.launch_compiled(graph, args,
-                                                  max_ticks=max_ticks,
-                                                  capture=cap, replay=replay)
+                                                  max_ticks=max_ticks)
             if not completed:
                 raise RuntimeError(
                     f"{self.func_name}: simulation ended before kernel "
                     f"completion"
                 )
-            if cap is not None:
-                self.captured_trace = cap.to_trace(graph, self.func_name)
         else:
             done = {"flag": False}
             self.unit.launch(args, on_done=lambda: done.update(flag=True))

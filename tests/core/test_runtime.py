@@ -173,13 +173,6 @@ def test_wrong_arity_rejected():
         acc.unit.engine.start([1, 2])
 
 
-def test_deprecated_error_alias_still_works():
-    from repro.core.runtime import EngineError, RuntimeError_
-
-    assert RuntimeError_ is EngineError
-    assert issubclass(EngineError, RuntimeError)
-
-
 def test_ideal_memory_not_slower_than_spm(rng):
     spm = _run_vecadd(rng, memory="spm").cycles
     ideal = _run_vecadd(rng, memory="ideal").cycles

@@ -5,13 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.config import DeviceConfig
-from repro.dse import format_table, pareto_front, sweep, to_csv
+from repro.dse import ParallelSweep, format_table, pareto_front, to_csv
 from repro.workloads import get_workload
 
 
 def test_sweep_runs_grid():
     w = get_workload("spmv")
-    points = sweep(
+    points = ParallelSweep().run(
         w,
         {"ports": [1, 4]},
         configure=lambda p: dict(
@@ -28,8 +28,8 @@ def test_sweep_runs_grid():
 
 def test_sweep_records_flat():
     w = get_workload("spmv")
-    points = sweep(w, {"ports": [2]},
-                   configure=lambda p: dict(spm_bytes=1 << 14))
+    points = ParallelSweep().run(w, {"ports": [2]},
+                                 configure=lambda p: dict(spm_bytes=1 << 14))
     record = points[0].record()
     for key in ("ports", "cycles", "runtime_us", "power_mw", "stall_fraction"):
         assert key in record

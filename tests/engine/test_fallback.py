@@ -61,6 +61,16 @@ def test_fallback_run_identical_to_explicit_dynamic():
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
 
+def test_engine_provenance_is_not_serialized():
+    # engine_used/fallback_reason are transient: cached results must
+    # stay byte-identical no matter which engine produced them.
+    result = _graph_ctx(max_events=10**9).run()
+    assert result.fallback_reason
+    payload = result.to_dict()
+    assert "engine_used" not in payload
+    assert "fallback_reason" not in payload
+
+
 def test_honoured_request_reports_no_reason():
     ctx = _graph_ctx()
     ctx.run()

@@ -77,7 +77,7 @@ def test_accelerator_reuses_store_cached_graph(tmp_path):
 
 
 def test_graph_sweep_matches_dynamic_sweep():
-    from repro.dse.sweep import sweep
+    from repro.exec.parallel import ParallelSweep
 
     def configure(params):
         return {"memory": "spm", "spm_banks": params["banks"]}
@@ -85,7 +85,7 @@ def test_graph_sweep_matches_dynamic_sweep():
     grid = {"banks": [2, 4]}
     runs = {}
     for engine in ("dynamic", "graph"):
-        points = sweep(get_workload("gemm"), grid, configure, seed=7,
-                       verify=False, engine=engine)
+        points = ParallelSweep(verify=False, engine=engine).run(
+            get_workload("gemm"), grid, configure, seed=7)
         runs[engine] = [(p.params, p.result.to_dict()) for p in points]
     assert runs["dynamic"] == runs["graph"]

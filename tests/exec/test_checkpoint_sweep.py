@@ -8,7 +8,6 @@ must be byte-identical to an uninterrupted sweep's.
 import json
 
 from repro.core.config import DeviceConfig
-from repro.dse import sweep
 from repro.exec import ParallelSweep, RunCache, SweepCheckpoint
 from repro.workloads import get_workload
 
@@ -28,7 +27,7 @@ def _configure(params):
 #: Provenance columns describe what ran *this invocation* (a resumed
 #: point ran nothing, so its engine_used is "" by design); the resume
 #: bar is byte-identity of the result columns.
-PROVENANCE = ("engine_used", "fallback_reason", "retimed")
+PROVENANCE = ("engine_used", "fallback_reason")
 
 
 def _rows(points):
@@ -150,16 +149,17 @@ def test_checkpoint_feeds_the_cache_on_resume(tmp_path):
     assert len(cache) == 1  # the resumed result was promoted to the cache
 
 
-def test_sweep_shim_forwards_checkpoint(tmp_path):
+def test_checkpoint_object_records_and_resumes(tmp_path):
     workload = get_workload("gemm_dse")
     path = tmp_path / "ckpt.jsonl"
-    via_shim = sweep(workload, HALF_GRID, _configure, seed=7,
-                     checkpoint=SweepCheckpoint(path))
+    first = ParallelSweep(checkpoint=SweepCheckpoint(path)).run(
+        workload, HALF_GRID, _configure, seed=7)
     assert path.exists()
     again = SweepCheckpoint(path)
-    sweep(workload, HALF_GRID, _configure, seed=7, checkpoint=again)
+    ParallelSweep(checkpoint=again).run(workload, HALF_GRID, _configure,
+                                        seed=7)
     assert again.resumed == 1
-    assert _rows(via_shim) == _rows(
+    assert _rows(first) == _rows(
         ParallelSweep().run(workload, HALF_GRID, _configure, seed=7))
 
 

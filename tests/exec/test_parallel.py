@@ -9,7 +9,6 @@ same grid is served entirely from the run cache.
 import json
 
 from repro.core.config import DeviceConfig
-from repro.dse import sweep
 from repro.exec import ParallelSweep, RunCache, grid_points
 from repro.workloads import get_workload
 
@@ -28,7 +27,7 @@ def _configure(params):
 #: Provenance columns record what ran *this invocation* (a cache hit
 #: runs nothing, so engine_used is "" by design); byte-identity is
 #: asserted over the result columns.
-PROVENANCE = ("engine_used", "fallback_reason", "retimed")
+PROVENANCE = ("engine_used", "fallback_reason")
 
 
 def _rows(points):
@@ -80,13 +79,15 @@ def test_cache_is_config_sensitive():
     assert cache.hits == 0 and cache.misses == 3
 
 
-def test_sweep_shim_signature_still_works():
+def test_cached_parallel_sweep_records_match_serial():
     workload = get_workload("gemm_dse")
     cache = RunCache()
-    via_shim = sweep(workload, GRID, _configure, seed=7, workers=2, cache=cache)
+    cached = ParallelSweep(workers=2, cache=cache).run(
+        workload, GRID, _configure, seed=7)
     direct = ParallelSweep(workers=1).run(workload, GRID, _configure, seed=7)
-    assert _rows(via_shim) == _rows(direct)
-    record = via_shim[0].record()
+    assert _rows(cached) == _rows(direct)
+    record = cached[0].record()
     for key in ("memory", "unroll", "cycles", "runtime_us", "power_mw",
-                "stall_fraction", "issue_fraction"):
+                "stall_fraction", "issue_fraction") + PROVENANCE:
         assert key in record
+    assert record["engine_used"] == "dynamic"

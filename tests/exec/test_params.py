@@ -1,12 +1,11 @@
 """The datapath/memory parameter partition (repro.exec.params).
 
-The soundness of incremental re-simulation hangs on one invariant:
-every knob a user can turn is *deliberately* classified.  A parameter
-on the memory side may only change timing; one on the datapath side
-forces a fresh schedule capture; an execution parameter must not affect
-results at all.  The property tests here make adding an accelerator
-kwarg without classifying it a test failure, not a silent soundness
-hazard.
+Run-cache keys and graph keys both rest on one invariant: every knob a
+user can turn is *deliberately* classified.  A parameter on the memory
+side may only change timing; one on the datapath side may change what
+the kernel computes; an execution parameter must not affect results at
+all.  The property tests here make adding an accelerator kwarg without
+classifying it a test failure, not a silent key-sharing hazard.
 """
 
 import inspect
