@@ -58,9 +58,8 @@ def main() -> None:
         print(f"  {category:28s} {share:6.2f}%")
 
     # The same lifecycle, packaged: `repro.exec.SimContext` owns the
-    # build -> stage -> run -> collect phases (and run_standalone is a
-    # one-call shim over it) — that's the API the sweeps, the CLI, and
-    # the benchmarks go through.
+    # build -> stage -> run -> collect phases — that's the API the
+    # sweeps, the CLI, and the benchmarks go through.
     from repro.exec import SimContext
 
     def stage(acc):

@@ -63,7 +63,6 @@ from repro.system.soc import (
     SoC,
     StandaloneAccelerator,
     build_soc,
-    run_standalone,
 )
 from repro.serve import JobServer, ServeClient, start_server_thread
 from repro.trace import TraceConfig, TraceHub
@@ -104,7 +103,6 @@ __all__ = [
     "SimulationHang",
     "SoC",
     "build_soc",
-    "run_standalone",
     "JobServer",
     "ServeClient",
     "start_server_thread",

@@ -99,21 +99,21 @@ class CommInterface(SimObject):
     # -- control ----------------------------------------------------------------
     def _mmr_written(self, offset: int, value: int) -> None:
         if offset == 0 and value & CTRL_START and self._on_start is not None:
-            if self._san is not None:
+            if self._probe is not None:
                 # The starter (host) released this key when its control
                 # write landed; acquiring orders the launch after every
                 # host access that preceded the start.
-                self._san.acquire(self.agent, ("mmr", self.mmr.name))
+                self._probe.sync(self.agent, ("mmr", self.mmr.name), False)
             self._on_start()
 
     def raise_interrupt(self) -> None:
         if self.mmr.control & CTRL_IRQ_EN or not self._irq_handlers:
             self.stat_interrupts.inc()
-        if self._san is not None:
+        if self._probe is not None:
             # Publish the accelerator's finished work before any waiter
             # resumes on these lines.
             for irq in self.irq_lines:
-                self._san.release(self.agent, ("irq", irq))
+                self._probe.sync(self.agent, ("irq", irq), True)
         for handler in self._irq_handlers:
             handler()
 

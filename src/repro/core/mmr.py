@@ -95,8 +95,11 @@ class MMRFile(SimObject):
         return pkt.make_response()
 
     def _recv_timing_req(self, pkt: Packet) -> bool:
-        if self._finj is not None:
-            self._finj.on_access(self)
+        probe = self._probe
+        if probe is not None:
+            # No agent: to the sanitizer a register access is sync, not data.
+            probe.access(self, None, pkt.addr, pkt.size, pkt.is_write,
+                         self.cur_tick)
         offset = self._offset(pkt.addr, pkt.size)
         if pkt.cmd is MemCmd.READ:
             self.stat_reads.inc()
@@ -104,12 +107,12 @@ class MMRFile(SimObject):
             resp = pkt.make_response(data=data)
         else:
             self.stat_writes.inc()
-            if self._san is not None and pkt.agent is not None:
+            if probe is not None and pkt.agent is not None:
                 # Control/argument writes are the release half of the
                 # MMR-start handoff: everything the writer did so far
                 # becomes visible to the device that launches off this
                 # register file.
-                self._san.release(pkt.agent, ("mmr", self.name))
+                probe.sync(pkt.agent, ("mmr", self.name), True)
             self._apply_write(offset, pkt.data)
             resp = pkt.make_response()
         self.eventq.schedule_callback(

@@ -487,11 +487,11 @@ class RuntimeEngine(SimObject):
             blocked_kinds=blocked_kinds,
             issued_total=issued_total,
         )
-        hub = self._thub
-        if hub is not None:
+        probe = self._probe
+        if probe is not None:
             # Sec. III-C2's per-cycle scheduling log: what issued, what
             # stalled (and why), what is still in flight.
-            hub.emit(
+            probe.emit(
                 "sched", self.name, "cycle", self.clock.cycles_to_ticks(cycle),
                 dur=self.clock.period,
                 args={"issued": issued_total, "blocked": dict(blocked_kinds),
@@ -585,7 +585,7 @@ class RuntimeEngine(SimObject):
         dyn.result = result
         dyn.commit_cycle = self.cur_cycle
         self.committed += 1
-        if self.pipeline_trace is not None or self._thub is not None:
+        if self.pipeline_trace is not None or self._probe is not None:
             self._trace_commit(dyn, result)
         if dyn.node.result_bits:
             self.register_energy_pj += (
@@ -605,7 +605,7 @@ class RuntimeEngine(SimObject):
         dyn.dependents.clear()
 
     # ------------------------------------------------------------------
-    # Tracing (pipeline log + hub; both optional, both cycle-neutral)
+    # Tracing (pipeline log + bus; both optional, both cycle-neutral)
     # ------------------------------------------------------------------
     def _trace_issue(self, dyn: DynInst) -> None:
         detail = f"addr={dyn.addr:#x}" if dyn.addr is not None else ""
@@ -619,14 +619,14 @@ class RuntimeEngine(SimObject):
                 dyn.commit_cycle, "commit", dyn.seq, dyn.node.inst.opcode,
                 "" if result is None else f"-> {result!r}"[:40],
             )
-        hub = self._thub
-        if hub is not None:
+        probe = self._probe
+        if probe is not None:
             # One span per dynamic instruction, issue edge -> commit edge.
             period = self.clock.period
             args = {"seq": dyn.seq}
             if dyn.addr is not None:
                 args["addr"] = dyn.addr
-            hub.emit(
+            probe.emit(
                 "compute", self.name, dyn.node.inst.opcode,
                 dyn.issue_cycle * period,
                 dur=(dyn.commit_cycle - dyn.issue_cycle) * period,

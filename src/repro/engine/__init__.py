@@ -9,7 +9,8 @@ the dynamic `RuntimeEngine` — see DESIGN.md, "Graph-compiled engine".
 `resolve_engine` implements the documented fallback rules: requests for
 the graph engine silently degrade to the dynamic engine whenever a
 feature the graph backend does not model is active (cache-backed
-memory, fault injection, watchdogs, event budgets, pipeline traces).
+memory, an instrumentation-bus observer that declares a fallback
+reason, watchdogs, event budgets, pipeline traces).
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ def resolve_engine(requested: str, acc, max_events: Optional[int] = None,
         return "dynamic", "watchdog attached"
     if max_events is not None:
         return "dynamic", "max_events budget requires the event queue"
-    if any(getattr(obj, "_finj", None) is not None
-           for obj in acc.system.objects.values()):
-        return "dynamic", "fault injection active"
-    if any(getattr(obj, "_san", None) is not None
-           for obj in acc.system.objects.values()):
-        return "dynamic", "access sanitizer attached"
+    for observer in acc.system.observers:
+        if observer.fallback_reason is not None:
+            return "dynamic", observer.fallback_reason
     if acc.unit.engine.pipeline_trace is not None:
         return "dynamic", "pipeline trace attached"
     if acc.unit.comm.memctrl.strict_ranges:

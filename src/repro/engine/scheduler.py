@@ -159,7 +159,7 @@ class GraphScheduler:
         spm_read_ports = spm.read_ports
         spm_write_ports = spm.write_ports
         spm_bank_of = spm.bank_of
-        hub = engine._thub
+        hub = engine._probe
         occupancy = engine.occupancy
         trace_mem = hub is not None and hub.enabled("mem")
         memctrl_name = memctrl.name

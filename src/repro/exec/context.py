@@ -27,6 +27,7 @@ from repro.exec.cache import RunCache, run_cache_key
 from repro.faults import FaultInjector, FaultPlan, SimWatchdog, coerce_watchdog
 from repro.ir.module import Module
 from repro.passes.pipeline import PipelineSpec
+from repro.sim.sanitizer import AccessSanitizer
 from repro.sim.simobject import System
 from repro.sim.stats import format_stats
 from repro.system.soc import RunResult, StandaloneAccelerator
@@ -42,14 +43,9 @@ class Simulation:
     `StandaloneAccelerator`) by :class:`SimContext`.
     """
 
-    def __init__(self, system: System, trace=None) -> None:
+    def __init__(self, system: System) -> None:
         self.system = system
         self.exit_cause: Optional[str] = None
-        self.trace = TraceConfig.coerce(trace)
-        self.trace_hub: Optional[TraceHub] = None
-        if self.trace is not None:
-            self.trace_hub = self.trace.make_hub()
-            system.attach_trace_hub(self.trace_hub)
 
     @property
     def cur_tick(self) -> int:
@@ -217,20 +213,19 @@ class SimContext:
                 self.trace_hub = self.trace.make_hub()
             if self._module is None:
                 self._module = self._resolve_module()
-            self._acc = StandaloneAccelerator(self._module, self.func_name,
-                                              artifact_store=self.artifact_store,
-                                              engine=self.engine,
-                                              **self.acc_kwargs)
+            acc = StandaloneAccelerator(self._module, self.func_name,
+                                        artifact_store=self.artifact_store,
+                                        engine=self.engine, **self.acc_kwargs)
+            system = acc.system
             if self.trace_hub is not None:
-                self._acc.system.attach_trace_hub(self.trace_hub)
+                system.attach_probe(self.trace_hub)
+            # A plan that fails to attach leaves the context unbuilt, so
+            # the next run() retries (and fails) the same way.
             if self.faults:
-                self.fault_injector = FaultInjector(self.faults)
-                self.fault_injector.attach(self._acc.system)
+                self.fault_injector = FaultInjector(self.faults).attach(system)
             if self.sanitize:
-                from repro.sim.sanitizer import AccessSanitizer
-
-                self.sanitizer = self._acc.system.attach_sanitizer(
-                    AccessSanitizer())
+                self.sanitizer = system.attach_probe(AccessSanitizer())
+            self._acc = acc
         return self._acc
 
     def _resolve_module(self) -> Module:
@@ -318,12 +313,9 @@ class SimContext:
         cached compile, producing an identical result.
         """
         if self._acc is not None:
-            if self.trace_hub is not None:
-                self._acc.system.detach_trace_hub()
-            if self.fault_injector is not None:
-                self.fault_injector.detach()
-            if self.sanitizer is not None:
-                self._acc.system.detach_sanitizer()
+            system = self._acc.system
+            for observer in list(system.observers):
+                system.detach_probe(observer)
             self._acc.reset()
         self._acc = None
         self.fault_injector = None

@@ -7,9 +7,9 @@ Three pieces, layered from data to enforcement:
   dropped/delayed DMA transfers, stalled ports, MMR corruption) and
   *when* (at a tick, or on the Nth access).
 * :mod:`repro.faults.injector` — `FaultInjector`, which arms a plan
-  against a built `System` through zero-overhead ``_finj`` hooks (the
-  `_thub` single-pointer-compare pattern from `repro.trace`) and logs
-  every injection on the ``faults`` trace channel.
+  against a built `System` as an observer on the zero-overhead
+  instrumentation bus (`repro.sim.probe`) and logs every injection on
+  the ``faults`` trace channel.
 * :mod:`repro.faults.watchdog` — `SimWatchdog`, which turns the hangs
   faults (or plain bugs) cause into structured `SimulationHang` errors
   carrying the in-flight instruction dump.

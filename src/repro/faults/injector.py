@@ -1,17 +1,10 @@
 """Arms a :class:`FaultPlan` against a built `System` and fires it.
 
-Zero-overhead contract (the `_thub` pattern from `repro.trace`): every
-SimObject carries a ``_finj`` attribute that is ``None`` until a fault
-plan targets it.  The instrumented hot paths — SPM/DRAM/cache/MMR
-request receipt, memory-controller pump/issue/enqueue, DMA launch —
-guard on that single attribute, so a fault-free simulation pays one
-pointer compare per site and stays bit- and cycle-identical to an
-uninstrumented build.
-
-Tick-triggered events are scheduled on the system's event queue at
-attach time; access-triggered events count accesses through the
-``on_access`` hook.  Every injection is appended to :attr:`injected`
-and, when a trace hub is attached, emitted on the ``faults`` channel so
+The injector observes the instrumentation bus (`repro.sim.probe`), so
+a fault-free simulation stays bit- and cycle-identical.  Tick triggers
+are scheduled on the event queue at attach time; access triggers count
+the target's bus ``access`` calls.  Every injection is appended to
+:attr:`injected` and emitted on the ``faults`` trace channel, so
 Chrome traces show the injection against the activity it perturbs.
 """
 
@@ -23,6 +16,7 @@ from typing import Optional
 from repro.core.mmr import ARGS_OFFSET, MMRFile
 from repro.faults.plan import FaultConfigError, FaultEvent, FaultPlan
 from repro.sim.packet import read_packet, write_packet
+from repro.sim.probe import Probe
 from repro.sim.simobject import SimObject, System
 
 
@@ -46,8 +40,10 @@ class _Armed:
         self.threshold = event.after_accesses  # None for tick triggers
 
 
-class FaultInjector:
+class FaultInjector(Probe):
     """Resolves a plan's targets, arms its events, applies its faults."""
+
+    fallback_reason = "fault injection active"
 
     def __init__(self, plan) -> None:
         plan = FaultPlan.coerce(plan)
@@ -72,35 +68,33 @@ class FaultInjector:
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, system: System) -> "FaultInjector":
-        """Resolve targets, draw unspecified fields from the plan seed,
-        schedule tick triggers, and hook access-triggered targets."""
+        """Resolve targets and draw unspecified fields from the plan seed
+        for every event before touching the system (a bad target leaves
+        it unchanged), then schedule tick triggers and join the bus."""
         if self._system is not None:
             raise FaultConfigError("FaultInjector is already attached")
-        self._system = system
         rng = random.Random(self.plan.seed)
-        for event in self.plan.events:
-            obj = self._resolve(system, event.target)
-            armed = self._arm(event, obj, rng)
-            # Consumption hooks (stall/drop/DMA checks) live on the
-            # object regardless of trigger style.
-            obj._finj = self
+        armed = [self._arm(event, self._resolve(system, event.target), rng)
+                 for event in self.plan.events]
+        self._system = system
+        for entry in armed:
+            event = entry.event
             if event.at_tick is not None:
                 system.eventq.schedule_callback(
-                    lambda a=armed: self._fire(a), event.at_tick,
-                    name=f"fault.{event.kind}@{obj.name}",
+                    lambda a=entry: self._fire(a), event.at_tick,
+                    name=f"fault.{event.kind}@{entry.obj.name}",
                 )
             else:
-                self._armed_by_obj.setdefault(obj.name, []).append(armed)
+                self._armed_by_obj.setdefault(entry.obj.name, []).append(entry)
+        system.attach_probe(self)
         return self
 
     def detach(self) -> None:
-        """Unhook every targeted object (pending tick events die with the
-        system's event-queue reset)."""
+        """Leave the bus (pending tick events die with the system's
+        event-queue reset)."""
         if self._system is None:
             return
-        for obj in self._system.objects.values():
-            if obj._finj is self:
-                obj._finj = None
+        self._system.detach_probe(self)
         self._system = None
 
     # ------------------------------------------------------------------
@@ -175,17 +169,23 @@ class FaultInjector:
             )
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (each site guards on obj._finj first)
+    # Bus hooks
     # ------------------------------------------------------------------
-    def on_access(self, obj: SimObject) -> None:
+    def access(self, obj, agent, addr, size, is_write, tick) -> None:
+        if obj is not None:
+            self._count_access(obj)
+
+    def _count_access(self, obj: SimObject) -> None:
         """Count one access to ``obj``; fire any armed event whose
         threshold this access reaches."""
         name = obj.name
+        armed_events = self._armed_by_obj.get(name)
+        if armed_events is None:
+            return  # no access trigger targets this object
         count = self._access_counts.get(name, 0) + 1
         self._access_counts[name] = count
-        for armed in self._armed_by_obj.get(name, ()):
-            if armed.remaining > 0 and armed.threshold is not None \
-                    and count >= armed.threshold:
+        for armed in armed_events:
+            if armed.remaining > 0 and count >= armed.threshold:
                 self._fire(armed)
 
     def stalled(self, obj: SimObject) -> bool:
@@ -217,7 +217,7 @@ class FaultInjector:
     def dma_action(self, obj: SimObject) -> Optional[tuple[str, int]]:
         """Called at DMA launch: counts the launch as an access, then
         returns a pending ("drop"|"delay", cycles) action, if any."""
-        self.on_access(obj)
+        self._count_access(obj)
         pending = self._dma_pending.get(obj.name)
         if pending:
             return pending.pop(0)
@@ -277,13 +277,13 @@ class FaultInjector:
         return {"addr": addr, "bit": bit}
 
     def _record(self, kind: str, obj: SimObject, detail: dict) -> None:
-        tick = self._system.eventq.cur_tick if self._system is not None else 0
+        tick = obj.eventq.cur_tick
         entry = {"tick": tick, "kind": kind, "target": obj.name}
         entry.update(detail)
         self.injected.append(entry)
-        hub = self._system.trace_hub if self._system is not None else None
-        if hub is not None:
-            hub.emit("faults", obj.name, kind, tick, args=dict(detail))
+        probe = obj._probe  # an attached trace hub logs the injection
+        if probe is not None:
+            probe.emit("faults", obj.name, kind, tick, args=dict(detail))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "attached" if self._system is not None else "detached"

@@ -599,7 +599,7 @@ def compile_c(
     """Compile mini-C source to optimized IR (the full "clang" flow).
 
     ``opt_level=2`` additionally runs LICM and CSE (see
-    `repro.passes.standard_pipeline`).  An explicit ``passes`` spec
+    `repro.passes.PipelineSpec.standard`).  An explicit ``passes`` spec
     (a string like ``"mem2reg,unroll:4,constfold,dce"`` or a
     `PipelineSpec`) overrides the ``optimize``/``opt_level``/
     ``unroll_factor`` knobs entirely.

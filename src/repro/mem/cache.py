@@ -113,13 +113,11 @@ class Cache(SimObject):
     # -- request path --------------------------------------------------------
     def _recv_timing_req(self, pkt: Packet) -> bool:
         pkt.req_tick = self.cur_tick
-        if self._finj is not None:
-            self._finj.on_access(self)
-        if self._san is not None and pkt.agent is not None:
-            # Record once at the cache boundary; fill/writeback traffic
-            # below carries no agent and is skipped at the DRAM hook.
-            self._san.record(pkt.agent, pkt.addr, pkt.size, pkt.is_write,
-                             self.cur_tick)
+        if self._probe is not None:
+            # Attributed once at the cache boundary; fill/writeback
+            # traffic below carries no agent.
+            self._probe.access(self, pkt.agent, pkt.addr, pkt.size,
+                               pkt.is_write, self.cur_tick)
         if pkt.size > self.line_size:
             raise ValueError(
                 f"{self.name}: access of {pkt.size}B exceeds line size; split upstream"
@@ -127,7 +125,7 @@ class Cache(SimObject):
         set_index, line = self._lookup(pkt.addr)
         if line is not None:
             self.stat_hits.inc()
-            if self._thub is not None:
+            if self._probe is not None:
                 self.trace_emit("mem", "hit", args={"addr": pkt.addr, "size": pkt.size})
             pkt.hit_level = self.name
             self._touch(line)
@@ -155,7 +153,7 @@ class Cache(SimObject):
             self._mshrs[line_addr].waiting.append(pkt)
             return True
         self.stat_misses.inc()
-        if self._thub is not None:
+        if self._probe is not None:
             self.trace_emit("mem", "miss", args={"addr": pkt.addr, "size": pkt.size})
         if len(self._mshrs) >= self.max_mshrs:
             return False  # backpressure: requester must retry
@@ -197,7 +195,7 @@ class Cache(SimObject):
         victim = min(self._sets[set_index], key=lambda l: (l.valid, l.lru))
         if victim.valid and victim.dirty:
             self.stat_writebacks.inc()
-            if self._thub is not None:
+            if self._probe is not None:
                 self.trace_emit("mem", "writeback", args={"line": line_addr})
             victim_addr = (
                 victim.tag * self.num_sets + set_index

@@ -118,16 +118,15 @@ class BlockDMA(SimObject):
         self.stat_bytes.inc(size)
         self._xfer_start_tick = self.cur_tick
         self._xfer_args = {"src": src, "dst": dst, "size": size}
-        if self._thub is not None:
+        delay = 0
+        probe = self._probe
+        if probe is not None:
             self.trace_emit("dma", "start", args=self._xfer_args)
-        if self._san is not None:
             # The command handoff orders this transfer after whoever
             # programmed the engine (the host's dma_copy releases the
             # matching key just before calling start()).
-            self._san.acquire(self.name, ("cmd", self.name))
-        delay = 0
-        if self._finj is not None:
-            action = self._finj.dma_action(self)
+            probe.sync(self.name, ("cmd", self.name), False)
+            action = probe.dma_action(self)
             if action is not None:
                 kind, cycles = action
                 if kind == "drop":
@@ -146,10 +145,9 @@ class BlockDMA(SimObject):
         self._busy = False
         if self._xfer_record is not None:
             self._xfer_record.end_tick = self.cur_tick
-        if self._thub is not None:
+        if self._probe is not None:
             self.trace_emit("dma", "dropped", args=self._xfer_args)
-        if self._san is not None:
-            self._san.release(self.name, ("done", self.name))
+            self._probe.sync(self.name, ("done", self.name), True)
         if self._on_done is not None:
             done, self._on_done = self._on_done, None
             done()
@@ -184,17 +182,16 @@ class BlockDMA(SimObject):
                 self._busy = False
                 if self._xfer_record is not None:
                     self._xfer_record.end_tick = self.cur_tick
-                hub = self._thub
-                if hub is not None:
+                probe = self._probe
+                if probe is not None:
                     # The whole copy as one span, programmed -> last write.
-                    hub.emit("dma", self.name, "transfer", self._xfer_start_tick,
-                             dur=self.cur_tick - self._xfer_start_tick,
-                             args=self._xfer_args)
-                if self._san is not None:
+                    probe.emit("dma", self.name, "transfer", self._xfer_start_tick,
+                               dur=self.cur_tick - self._xfer_start_tick,
+                               args=self._xfer_args)
                     # Publish completion before the done callback so the
                     # waiter's acquire observes every byte this engine
                     # moved.
-                    self._san.release(self.name, ("done", self.name))
+                    probe.sync(self.name, ("done", self.name), True)
                 if self._on_done is not None:
                     done, self._on_done = self._on_done, None
                     done()
@@ -270,10 +267,9 @@ class StreamDMA(SimObject):
         self._xfer_start_tick = self.cur_tick
         self._xfer_args = {"addr": addr, "tokens": tokens,
                            "direction": self.direction}
-        if self._thub is not None:
+        if self._probe is not None:
             self.trace_emit("dma", "start", args=self._xfer_args)
-        if self._san is not None:
-            self._san.acquire(self.name, ("cmd", self.name))
+            self._probe.sync(self.name, ("cmd", self.name), False)
         self.schedule_callback_in_cycles(self._step, 1, name=f"{self.name}.step")
 
     def _finish_if_done(self) -> bool:
@@ -283,13 +279,12 @@ class StreamDMA(SimObject):
             self._busy = False
             if self._xfer_record is not None:
                 self._xfer_record.end_tick = self.cur_tick
-            hub = self._thub
-            if hub is not None:
-                hub.emit("dma", self.name, "stream", self._xfer_start_tick,
-                         dur=self.cur_tick - self._xfer_start_tick,
-                         args=self._xfer_args)
-            if self._san is not None:
-                self._san.release(self.name, ("done", self.name))
+            probe = self._probe
+            if probe is not None:
+                probe.emit("dma", self.name, "stream", self._xfer_start_tick,
+                           dur=self.cur_tick - self._xfer_start_tick,
+                           args=self._xfer_args)
+                probe.sync(self.name, ("done", self.name), True)
             if self._on_done is not None:
                 done, self._on_done = self._on_done, None
                 done()
@@ -309,10 +304,10 @@ class StreamDMA(SimObject):
                 self._held_tokens.pop(0)
                 self._remaining -= 1
                 self.stat_tokens.inc()
-                if self._san is not None:
+                if self._probe is not None:
                     # Token handoff: the consumer popping this token
                     # acquires the same key, ordering it after our reads.
-                    self._san.release(self.name, ("stream", self.buffer.name))
+                    self._probe.sync(self.name, ("stream", self.buffer.name), True)
             if self._finish_if_done():
                 return
             if self._waiting_mem:
@@ -332,8 +327,8 @@ class StreamDMA(SimObject):
                 token = self.buffer.try_pop()
                 if token is None:
                     break
-                if self._san is not None:
-                    self._san.acquire(self.name, ("stream", self.buffer.name))
+                if self._probe is not None:
+                    self._probe.sync(self.name, ("stream", self.buffer.name), False)
                 self._out_burst.extend(token)
                 self._remaining -= 1
                 self.stat_tokens.inc()

@@ -63,11 +63,9 @@ class DRAM(SimObject):
     # -- timing --------------------------------------------------------------
     def _recv_timing_req(self, pkt: Packet) -> bool:
         pkt.req_tick = self.cur_tick
-        if self._finj is not None:
-            self._finj.on_access(self)
-        if self._san is not None and pkt.agent is not None:
-            self._san.record(pkt.agent, pkt.addr, pkt.size, pkt.is_write,
-                             self.cur_tick)
+        if self._probe is not None:
+            self._probe.access(self, pkt.agent, pkt.addr, pkt.size,
+                               pkt.is_write, self.cur_tick)
         row = pkt.addr // self.row_size
         if row == self._open_row:
             latency = self.row_hit_latency_cycles

@@ -100,8 +100,9 @@ class AcceleratorMemController(SimObject):
     def enqueue_read(
         self, addr: int, size: int, on_complete: Callable[[MemRequest], None]
     ) -> MemRequest:
-        if self._finj is not None:
-            self._finj.on_access(self)
+        if self._probe is not None:
+            # Queued, not yet on the memory system: no agent to attribute.
+            self._probe.access(self, None, addr, size, False, self.cur_tick)
         request = MemRequest(True, addr, size, on_complete=on_complete)
         self.read_queue.append(request)
         return request
@@ -109,8 +110,8 @@ class AcceleratorMemController(SimObject):
     def enqueue_write(
         self, addr: int, data: bytes, on_complete: Callable[[MemRequest], None]
     ) -> MemRequest:
-        if self._finj is not None:
-            self._finj.on_access(self)
+        if self._probe is not None:
+            self._probe.access(self, None, addr, len(data), True, self.cur_tick)
         request = MemRequest(False, addr, len(data), data=bytes(data), on_complete=on_complete)
         self.write_queue.append(request)
         return request
@@ -129,7 +130,7 @@ class AcceleratorMemController(SimObject):
         if cycle != self._cycle_stamp:
             self._cycle_stamp = cycle
             self._issued_this_cycle = [0, 0]
-        if self._finj is not None and self._finj.stalled(self):
+        if self._probe is not None and self._probe.stalled(self):
             # Injected port stall: nothing issues this cycle.  The
             # compute unit re-pumps every cycle, so a finite stall
             # resumes on its own; an unbounded one is a livelock for
@@ -144,7 +145,7 @@ class AcceleratorMemController(SimObject):
                 stall_stat.inc(len(queue))
                 return
             request = queue.popleft()
-            if self._finj is not None and self._finj.drop_request(self, request):
+            if self._probe is not None and self._probe.drop_request(self, request):
                 # Injected lost transaction: the request vanishes and its
                 # completion callback never fires.
                 continue
@@ -178,10 +179,10 @@ class AcceleratorMemController(SimObject):
     def _complete_ideal(self, request: MemRequest) -> None:
         # Ideal memory: functional access against whichever route matches,
         # completing after a fixed latency.  The functional path bypasses
-        # the memory-side sanitizer hooks, so record the access here.
-        if self._san is not None:
-            self._san.record(self.agent, request.addr, request.size,
-                             not request.is_read, self.cur_tick)
+        # every timing model, so attribute the access here (obj=None).
+        if self._probe is not None:
+            self._probe.access(None, self.agent, request.addr, request.size,
+                               not request.is_read, self.cur_tick)
         port = self._route(request.addr, request.size)
         if request.is_read:
             pkt = read_packet(request.addr, request.size, origin=request)
@@ -205,10 +206,10 @@ class AcceleratorMemController(SimObject):
 
     def _finish(self, request: MemRequest) -> None:
         request.complete_tick = self.cur_tick
-        hub = self._thub
-        if hub is not None:
+        probe = self._probe
+        if probe is not None:
             # One span per accelerator memory op, issue -> completion.
-            hub.emit(
+            probe.emit(
                 "mem", self.name, "read" if request.is_read else "write",
                 request.issue_tick,
                 dur=request.complete_tick - request.issue_tick,

@@ -99,11 +99,9 @@ class Scratchpad(SimObject):
     # -- timing --------------------------------------------------------------
     def _recv_timing_req(self, pkt: Packet, source_port: SlavePort) -> bool:
         pkt.req_tick = self.cur_tick
-        if self._finj is not None:
-            self._finj.on_access(self)
-        if self._san is not None and pkt.agent is not None:
-            self._san.record(pkt.agent, pkt.addr, pkt.size, pkt.is_write,
-                             self.cur_tick)
+        if self._probe is not None:
+            self._probe.access(self, pkt.agent, pkt.addr, pkt.size,
+                               pkt.is_write, self.cur_tick)
         self._prune_counter += 1
         if self._prune_counter % 4096 == 0:
             now = self.cur_cycle
@@ -144,9 +142,9 @@ class Scratchpad(SimObject):
             self.image.write(pkt.addr, pkt.data)
             resp = pkt.make_response()
         resp.resp_tick = self.cur_tick
-        hub = self._thub
-        if hub is not None:
-            hub.emit(
+        probe = self._probe
+        if probe is not None:
+            probe.emit(
                 "mem", self.name,
                 "read" if pkt.cmd is MemCmd.READ else "write",
                 pkt.req_tick, dur=self.cur_tick - pkt.req_tick,

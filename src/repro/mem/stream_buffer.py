@@ -61,7 +61,7 @@ class StreamBuffer(SimObject):
             )
         if self.full:
             self.stat_push_stalls.inc()
-            if self._thub is not None:
+            if self._probe is not None:
                 self.trace_emit("mem", "push_stall", args={"occupancy": len(self._fifo)})
             return False
         self._fifo.append(bytes(token))
@@ -75,7 +75,7 @@ class StreamBuffer(SimObject):
         """Consumer handshake: returns None (and records a stall) if empty."""
         if self.empty:
             self.stat_pop_stalls.inc()
-            if self._thub is not None:
+            if self._probe is not None:
                 self.trace_emit("mem", "pop_stall", args={"occupancy": 0})
             return None
         token = self._fifo.popleft()

@@ -71,11 +71,11 @@ class StreamPort(SimObject):
                 return
             pkt = self._readers.popleft()
             self.stat_reads.inc()
-            if self._san is not None and pkt.agent is not None:
+            if self._probe is not None and pkt.agent is not None:
                 # Popping a token is the acquire half of the FIFO
                 # handoff: the popper inherits everything the pusher
                 # published.
-                self._san.acquire(pkt.agent, ("stream", self.buffer.name))
+                self._probe.sync(pkt.agent, ("stream", self.buffer.name), False)
             resp = pkt.make_response(data=token)
             self.eventq.schedule_callback(
                 lambda r=resp: self.port.send_timing_resp(r),
@@ -91,8 +91,8 @@ class StreamPort(SimObject):
                 return
             pkt = self._writers.popleft()
             self.stat_writes.inc()
-            if self._san is not None and pkt.agent is not None:
-                self._san.release(pkt.agent, ("stream", self.buffer.name))
+            if self._probe is not None and pkt.agent is not None:
+                self._probe.sync(pkt.agent, ("stream", self.buffer.name), True)
             resp = pkt.make_response()
             self.eventq.schedule_callback(
                 lambda r=resp: self.port.send_timing_resp(r),

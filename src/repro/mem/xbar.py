@@ -79,7 +79,7 @@ class Crossbar(SimObject):
     def _recv_timing_req(self, pkt: Packet, source: SlavePort) -> bool:
         index, out_port = self._route(pkt.addr, pkt.size)
         self.stat_requests.inc()
-        if self._thub is not None:
+        if self._probe is not None:
             self.trace_emit(
                 "mem", "route",
                 args={"addr": pkt.addr, "size": pkt.size, "out": index},

@@ -6,7 +6,7 @@ unrolling (the ILP-tuning knob), dead-code elimination, constant
 folding, and CFG simplification, coordinated by a :class:`PassManager`.
 """
 
-from repro.passes.pass_manager import FunctionPass, PassManager, standard_pipeline
+from repro.passes.pass_manager import FunctionPass, PassManager
 from repro.passes.pipeline import PassStep, PipelineSpec, PipelineSpecError
 from repro.passes.mem2reg import Mem2Reg
 from repro.passes.dce import DeadCodeElimination
@@ -21,7 +21,6 @@ from repro.passes.cse import CommonSubexpressionElimination
 __all__ = [
     "FunctionPass",
     "PassManager",
-    "standard_pipeline",
     "PassStep",
     "PipelineSpec",
     "PipelineSpecError",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_function
@@ -55,30 +54,3 @@ class PassManager:
             changed |= self.run_function(func)
         return changed
 
-
-def standard_pipeline(
-    unroll_factor: int = 1,
-    verify: bool = True,
-    module: Optional["Module"] = None,
-    opt_level: int = 1,
-) -> PassManager:
-    """The default "clang -O" style pipeline used by the frontend.
-
-    Level 1 (default): inline module-local calls (datapaths must be a
-    single function), mem2reg builds SSA, folding/DCE clean up,
-    unrolling expands loops (a factor of 1 leaves loops alone but still
-    honours per-loop pragmas), and a final fold/DCE/simplify round
-    tidies the result.
-
-    Level 2 adds loop-invariant code motion and common-subexpression
-    elimination — datapath-shrinking optimizations whose effect the
-    pass-ablation benchmark quantifies.
-
-    Thin shim over `repro.passes.pipeline.PipelineSpec.standard` — the
-    declarative spec is the source of truth for the pass order.
-    """
-    from repro.passes.pipeline import PipelineSpec
-
-    return PipelineSpec.standard(
-        opt_level=opt_level, unroll_factor=unroll_factor
-    ).to_pass_manager(module=module, verify=verify)

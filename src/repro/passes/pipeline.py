@@ -65,7 +65,7 @@ class PassStep:
 
 
 def _standard_steps(opt_level: int, unroll_factor: int) -> tuple[PassStep, ...]:
-    """The step sequence of `standard_pipeline`, as spec data."""
+    """The step sequence of `PipelineSpec.standard`, as spec data."""
     unroll = PassStep("unroll", unroll_factor if unroll_factor != 1 else None)
     steps = [PassStep("inline"), PassStep("mem2reg"),
              PassStep("constfold"), PassStep("dce")]
@@ -171,8 +171,8 @@ class PipelineSpec:
         """Instantiate the described passes.
 
         ``inline`` needs the enclosing module for callee lookup; without
-        one it is skipped (matching the historical `standard_pipeline`
-        behaviour for bare-function pipelines).
+        one it is skipped (so `PipelineSpec.standard` also serves
+        bare-function pipelines).
 
         With ``verify_each`` set this returns a
         `repro.analysis.verified.VerifiedPassManager` that differentially

@@ -9,6 +9,7 @@ the host agent) is built on these primitives.
 
 from repro.sim.eventq import Event, EventQueue
 from repro.sim.clock import ClockDomain, ClockedObject
+from repro.sim.probe import Probe
 from repro.sim.simobject import SimObject, System
 from repro.sim.packet import MemCmd, Packet
 from repro.sim.ports import MasterPort, SlavePort
@@ -19,6 +20,7 @@ __all__ = [
     "EventQueue",
     "ClockDomain",
     "ClockedObject",
+    "Probe",
     "SimObject",
     "System",
     "MemCmd",

@@ -98,7 +98,7 @@ class EventQueue:
         self._exit_message = ""
         self._events_fired = 0
         # Optional observer called as hook(event, tick) just before each
-        # event fires (wired by System.attach_trace_hub).  One attribute
+        # event fires (wired by System.attach_probe).  One attribute
         # compare per event when unset.
         self.trace_hook: Optional[Callable[[Event, int], None]] = None
 

@@ -1,17 +1,15 @@
 """Runtime access sanitizer (TSan-style, interval-granular).
 
-Attached to a `System` via :meth:`System.attach_sanitizer`, the
-sanitizer receives two event streams from the zero-overhead ``_san``
-hooks spread through the memory system:
+Attached to a `System` via :meth:`System.attach_probe`, the sanitizer
+observes two streams on the instrumentation bus (`repro.sim.probe`):
 
-* ``record(agent, addr, size, is_write, tick)`` — a memory access by an
-  attributed agent (the host, a DMA engine, an accelerator's memory
-  controller), called from the SPM/DRAM/cache request paths.
-* ``release(agent, key)`` / ``acquire(agent, key)`` — the two halves of
-  every synchronization primitive the platform offers: MMR control
-  writes (release) and the launch they trigger (acquire), interrupt
-  raise/wait, DMA command/done handoffs, and stream-buffer token
-  push/pop.
+* ``access`` — a memory access, recorded when an agent (the host, a
+  DMA engine, an accelerator's memory controller) is attributed; from
+  the SPM/DRAM/cache request paths and ideal-memory completions.
+* ``sync`` — one half of every synchronization primitive the platform
+  offers: MMR control writes (release) and the launch they trigger
+  (acquire), interrupt raise/wait, DMA command/done handoffs, and
+  stream-buffer token push/pop.
 
 Ordering is tracked with per-agent vector clocks, so a conflict is
 flagged whenever two agents touch overlapping bytes, at least one
@@ -28,13 +26,18 @@ O(accesses).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
+
+from repro.sim.probe import Probe
 
 _BUCKET_BYTES = 256
 
 
-class AccessSanitizer:
+class AccessSanitizer(Probe):
     """Happens-before race detector over attributed memory accesses."""
+
+    #: The graph engine's inline memory model bypasses the bus.
+    fallback_reason = "access sanitizer attached"
 
     def __init__(self, max_reports: int = 64) -> None:
         self.max_reports = max_reports
@@ -59,7 +62,18 @@ class AccessSanitizer:
             self._vc[agent] = vc
         return vc
 
-    # -- sync hooks ----------------------------------------------------
+    # -- bus hooks -----------------------------------------------------
+    def access(self, obj, agent, addr, size, is_write, tick) -> None:
+        if agent is not None:
+            self.record(agent, addr, size, is_write, tick)
+
+    def sync(self, agent, key, release) -> None:
+        if release:
+            self.release(agent, key)
+        else:
+            self.acquire(agent, key)
+
+    # -- synchronization -----------------------------------------------
     def release(self, agent: str, key: Hashable) -> None:
         """Publish ``agent``'s history on ``key`` (the release half)."""
         self.num_syncs += 1
@@ -150,8 +164,3 @@ class AccessSanitizer:
             "num_syncs": self.num_syncs,
             "agents": sorted(self._vc),
         }
-
-
-def attach(system, sanitizer: Optional[AccessSanitizer] = None) -> AccessSanitizer:
-    """Attach a (new, unless given) sanitizer to ``system``."""
-    return system.attach_sanitizer(sanitizer or AccessSanitizer())

@@ -8,14 +8,12 @@ and the address map used to route packets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.sim.clock import ClockDomain, ClockedObject
 from repro.sim.eventq import EventQueue
+from repro.sim.probe import Probe, ProbeFanout
 from repro.sim.stats import StatGroup, format_stats
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.trace.hub import TraceHub
 
 
 class AddrRange:
@@ -51,17 +49,10 @@ class SimObject(ClockedObject):
         self.name = name
         self.system = system
         self.stats = StatGroup(name)
-        # Trace hub, or None when untraced.  Hot paths guard on this one
-        # attribute, so a detached simulation pays a single pointer
-        # compare per instrumentation site.
-        self._thub: Optional["TraceHub"] = None
-        # Fault injector, or None when no faults target this object.
-        # Same contract as _thub: a fault-free simulation pays a single
-        # pointer compare per hook site and stays cycle-identical.
-        self._finj = None
-        # Access sanitizer, or None when the run is unsanitized.  Same
-        # zero-overhead contract as _thub/_finj.
-        self._san = None
+        # The instrumentation bus (`repro.sim.probe`), or None: hot paths
+        # guard on this one attribute, so a detached simulation pays a
+        # single pointer compare per instrumentation site.
+        self._probe: Optional[Probe] = None
         system.register(self)
 
     def init(self) -> None:
@@ -69,10 +60,10 @@ class SimObject(ClockedObject):
 
     def trace_emit(self, channel: str, kind: str, dur: int = 0,
                    args: Optional[dict] = None) -> None:
-        """Emit a trace event at the current tick; no-op when untraced."""
-        hub = self._thub
-        if hub is not None:
-            hub.emit(channel, self.name, kind, self.eventq.cur_tick, dur, args)
+        """Emit a trace event at the current tick; no-op when detached."""
+        probe = self._probe
+        if probe is not None:
+            probe.emit(channel, self.name, kind, self.eventq.cur_tick, dur, args)
 
     def reset(self) -> None:
         """Tear down run state so the object can simulate again.
@@ -97,58 +88,48 @@ class System:
         self.eventq = EventQueue(name)
         self.clock = ClockDomain(f"{name}.clk", clock_freq_hz)
         self.objects: dict[str, SimObject] = {}
-        self.trace_hub: Optional["TraceHub"] = None
-        self.sanitizer = None
+        #: Attached observers, in attach order.
+        self.observers: list[Probe] = []
+        self._probe: Optional[Probe] = None
         self._initialized = False
 
     def register(self, obj: SimObject) -> None:
         if obj.name in self.objects:
             raise ValueError(f"duplicate SimObject name '{obj.name}'")
         self.objects[obj.name] = obj
-        # Late registrations on a traced system pick the hub up here.
-        obj._thub = self.trace_hub
-        obj._san = self.sanitizer
+        # Late registrations join the bus as it stands.
+        obj._probe = self._probe
 
-    # -- tracing ------------------------------------------------------------
-    def attach_trace_hub(self, hub: "TraceHub") -> "TraceHub":
-        """Route every registered object's trace events into ``hub``.
+    # -- instrumentation ------------------------------------------------------
+    def attach_probe(self, observer: Probe) -> Probe:
+        """Put ``observer`` on every object's bus, including objects
+        registered later; one recording ``sched`` also sees every fired
+        event.  Detaching the last observer restores ``_probe is None``."""
+        if observer in self.observers:
+            raise ValueError(f"{observer!r} is already attached to {self.name}")
+        self.observers.append(observer)
+        self._rewire()
+        return observer
 
-        Also hooks the event queue so fired kernel events appear on the
-        ``sched`` channel.  Objects registered after attachment inherit
-        the hub; :meth:`detach_trace_hub` restores the no-op state.
-        """
-        self.trace_hub = hub
+    def detach_probe(self, observer: Probe) -> None:
+        if observer in self.observers:
+            self.observers.remove(observer)
+            self._rewire()
+
+    def _rewire(self) -> None:
+        observers = self.observers
+        probe = (ProbeFanout(observers) if len(observers) > 1
+                 else observers[0] if observers else None)
+        self._probe = probe
         for obj in self.objects.values():
-            obj._thub = hub
-        if hub.enabled("sched"):
+            obj._probe = probe
+        hook = None
+        if probe is not None and probe.enabled("sched"):
             queue_name = self.eventq.name
-            self.eventq.trace_hook = (
-                lambda event, tick: hub.emit("sched", queue_name, event.name, tick)
-            )
-        return hub
 
-    def detach_trace_hub(self) -> None:
-        self.trace_hub = None
-        for obj in self.objects.values():
-            obj._thub = None
-        self.eventq.trace_hook = None
-
-    # -- sanitizing ---------------------------------------------------------
-    def attach_sanitizer(self, sanitizer):
-        """Route every registered object's access records into ``sanitizer``.
-
-        Objects registered after attachment inherit the sanitizer;
-        :meth:`detach_sanitizer` restores the no-op state.
-        """
-        self.sanitizer = sanitizer
-        for obj in self.objects.values():
-            obj._san = sanitizer
-        return sanitizer
-
-    def detach_sanitizer(self) -> None:
-        self.sanitizer = None
-        for obj in self.objects.values():
-            obj._san = None
+            def hook(event, tick):
+                probe.emit("sched", queue_name, event.name, tick)
+        self.eventq.trace_hook = hook
 
     def __getitem__(self, name: str) -> SimObject:
         return self.objects[name]

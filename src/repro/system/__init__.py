@@ -5,7 +5,6 @@ from repro.system.host import HostAgent, DriverProgram
 from repro.system.soc import (
     StandaloneAccelerator,
     RunResult,
-    run_standalone,
     build_soc,
     SoC,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "DriverProgram",
     "StandaloneAccelerator",
     "RunResult",
-    "run_standalone",
     "build_soc",
     "SoC",
 ]

@@ -86,8 +86,11 @@ def _start_acc(host, mmr_base, args):
     yield host.write_mmr(mmr_base, CTRL_START | CTRL_IRQ_EN)
 
 
-def _build_platform(rng):
+def _build_platform(rng, observers):
     soc = build_soc(dram_size=1 << 20, host_op_overhead_cycles=_HOST_OP_OVERHEADS)
+    for observer in observers:
+        if observer is not None:
+            soc.system.attach_probe(observer)
     soc.dram.bytes_per_cycle = _DRAM_KWARGS["bytes_per_cycle"]
     soc.dram.latency_cycles = _DRAM_KWARGS["latency_cycles"]
     soc.dram.row_hit_latency_cycles = _DRAM_KWARGS["row_hit_latency_cycles"]
@@ -100,20 +103,19 @@ def _build_platform(rng):
     return soc, image, kernel, pool_golden, d_image, d_kernel, d_out
 
 
-def _finish(soc, name, units, d_out, golden) -> ScenarioResult:
+def _finish(soc, name, units, d_out, golden, sanitizer) -> ScenarioResult:
     sim = soc.simulation()
     cause = sim.run(max_tick=10_000_000_000)
     if not soc.host.finished:
         raise RuntimeError(f"scenario '{name}' did not finish ({cause})")
     out = soc.dram.image.read_array(d_out, np.float64, POOL * POOL)
     verified = bool(np.allclose(out, golden.ravel(), rtol=1e-9, atol=1e-12))
-    san = soc.system.sanitizer
     return ScenarioResult(
         name=name,
         total_ns=soc.host.finish_tick / 1000.0,
         acc_cycles={u.name: u.engine.total_cycles for u in units},
         verified=verified,
-        sanitizer=san.summary() if san is not None else None,
+        sanitizer=sanitizer.summary() if sanitizer is not None else None,
         soc=soc,
     )
 
@@ -141,11 +143,8 @@ def _compile(source: str, name: str):
 def run_private_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
     """Fig. 16a: private SPMs, DMA between stages, host-synchronized."""
     rng = np.random.default_rng(seed)
-    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(rng)
-    if trace_hub is not None:
-        soc.system.attach_trace_hub(trace_hub)
-    if sanitizer is not None:
-        soc.system.attach_sanitizer(sanitizer)
+    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
+        rng, (trace_hub, sanitizer))
     cluster = soc.add_cluster("cl")
     profile = default_profile()
     conv = cluster.add_accelerator(
@@ -194,18 +193,16 @@ def run_private_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioRe
         yield h.dma_copy(dma, s_pool_out, d_out, pool_out_bytes)
 
     host.run_driver(driver(host))
-    return _finish(soc, "private_spm", (conv, relu, pool), d_out, golden)
+    return _finish(soc, "private_spm", (conv, relu, pool), d_out, golden,
+                   sanitizer)
 
 
 # ---------------------------------------------------------------------------
 def run_shared_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
     """Fig. 16b: shared scratchpad, central-controller synchronization."""
     rng = np.random.default_rng(seed)
-    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(rng)
-    if trace_hub is not None:
-        soc.system.attach_trace_hub(trace_hub)
-    if sanitizer is not None:
-        soc.system.attach_sanitizer(sanitizer)
+    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
+        rng, (trace_hub, sanitizer))
     cluster = soc.add_cluster("cl", shared_spm_bytes=1 << 14)
     profile = default_profile()
     units = []
@@ -249,18 +246,15 @@ def run_shared_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioRes
         yield h.dma_copy(dma, s_pool_out, d_out, pool_out_bytes)
 
     host.run_driver(driver(host))
-    return _finish(soc, "shared_spm", units, d_out, golden)
+    return _finish(soc, "shared_spm", units, d_out, golden, sanitizer)
 
 
 # ---------------------------------------------------------------------------
 def run_stream(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
     """Fig. 16c: direct accelerator-to-accelerator streaming."""
     rng = np.random.default_rng(seed)
-    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(rng)
-    if trace_hub is not None:
-        soc.system.attach_trace_hub(trace_hub)
-    if sanitizer is not None:
-        soc.system.attach_sanitizer(sanitizer)
+    soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
+        rng, (trace_hub, sanitizer))
     cluster = soc.add_cluster("cl")
     profile = default_profile()
 
@@ -329,7 +323,7 @@ def run_stream(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
         yield h.wait_stream(drainer)
 
     host.run_driver(driver(host))
-    return _finish(soc, "stream", (conv, relu, pool), d_out, golden)
+    return _finish(soc, "stream", (conv, relu, pool), d_out, golden, sanitizer)
 
 
 #: Name -> runner registry, the lookup surface for ``repro analyze

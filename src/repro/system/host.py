@@ -154,7 +154,8 @@ class HostAgent(SimObject):
     def _execute(self, op: tuple) -> None:
         kind = op[0]
         self.op_log.append((self.cur_tick, kind, self._op_log_args(op)))
-        if self._thub is not None:
+        probe = self._probe
+        if probe is not None:
             self.trace_emit("host", kind, args=self._op_trace_args(op))
         if kind == "write_mmr":
             __, addr, value = op
@@ -171,36 +172,19 @@ class HostAgent(SimObject):
             if self.irq_controller is None:
                 raise RuntimeError(f"{self.name}: no interrupt controller attached")
             self.stat_irq_waits.inc()
-            if self._san is not None:
-                san = self._san
-
-                def _resume(irq=irq, san=san):
-                    # The raiser released this key, so acquiring here
-                    # orders everything after the wait behind the
-                    # device's completed work.
-                    san.acquire(self.name, ("irq", irq))
-                    self._advance()
-
-                self.irq_controller.wait(irq, _resume)
-            else:
-                self.irq_controller.wait(irq, self._advance)
+            # The raiser released this key, so acquiring it on wake-up
+            # orders everything after the wait behind the device's work.
+            self.irq_controller.wait(irq, self._acquire_then_advance(("irq", irq)))
         elif kind == "dma_copy":
             __, dma, src, dst, size = op
-            if self._san is not None:
-                san = self._san
-                san.release(self.name, ("cmd", dma.name))
-
-                def _dma_done(dma=dma, san=san):
-                    san.acquire(self.name, ("done", dma.name))
-                    self._advance()
-
-                dma.start(src, dst, size, on_done=_dma_done)
-            else:
-                dma.start(src, dst, size, on_done=self._advance)
+            if probe is not None:
+                probe.sync(self.name, ("cmd", dma.name), True)
+            dma.start(src, dst, size,
+                      on_done=self._acquire_then_advance(("done", dma.name)))
         elif kind == "start_stream":
             __, dma, addr, tokens = op
-            if self._san is not None:
-                self._san.release(self.name, ("cmd", dma.name))
+            if probe is not None:
+                probe.sync(self.name, ("cmd", dma.name), True)
             dma.start(addr, tokens, on_done=None)
             self._advance()
         elif kind == "wait_stream":
@@ -215,6 +199,18 @@ class HostAgent(SimObject):
             self._memcpy_step()
         else:
             raise ValueError(f"{self.name}: unknown driver op '{kind}'")
+
+    def _acquire_then_advance(self, key) -> Callable[[], None]:
+        """Continuation that acquires ``key`` on the bus, then advances."""
+        probe = self._probe
+        if probe is None:
+            return self._advance
+
+        def resume():
+            probe.sync(self.name, key, False)
+            self._advance()
+
+        return resume
 
     @staticmethod
     def _op_log_args(op: tuple) -> dict:
@@ -290,9 +286,7 @@ class HostAgent(SimObject):
 
     def _wait_stream(self, dma: StreamDMA) -> None:
         if not dma.busy:
-            if self._san is not None:
-                self._san.acquire(self.name, ("done", dma.name))
-            self._advance()
+            self._acquire_then_advance(("done", dma.name))()
         else:
             self.schedule_callback_in_cycles(
                 lambda d=dma: self._wait_stream(d), 8, name=f"{self.name}.poll"

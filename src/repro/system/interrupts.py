@@ -48,7 +48,7 @@ class InterruptController(SimObject):
     def raise_irq(self, irq: int) -> None:
         self.stat_raised.inc(str(irq))
         waiters = self._waiters.pop(irq, [])
-        if self._thub is not None:
+        if self._probe is not None:
             self.trace_emit(
                 "irq", "raise", args={"irq": irq, "waiters": len(waiters)}
             )

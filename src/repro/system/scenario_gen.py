@@ -30,6 +30,7 @@ from repro.core.config import DeviceConfig
 from repro.core.mmr import ARGS_OFFSET, CTRL_IRQ_EN, CTRL_START
 from repro.build.pipeline import build_module
 from repro.hw.default_profile import default_profile
+from repro.sim.sanitizer import AccessSanitizer
 from repro.system.soc import build_soc
 
 TOPOLOGIES = ("chain_private", "chain_shared", "fanout")
@@ -318,11 +319,8 @@ class GeneratedScenario:
             raise RuntimeError("GeneratedScenario.run is single-shot; "
                                "build() a fresh one")
         self._ran = True
-        sanitizer = None
-        if sanitize:
-            from repro.sim.sanitizer import AccessSanitizer
-
-            sanitizer = self.soc.system.attach_sanitizer(AccessSanitizer())
+        sanitizer = (self.soc.system.attach_probe(AccessSanitizer())
+                     if sanitize else None)
         host = self.soc.host
         host.run_driver(self._driver(host))
         sim = self.soc.simulation()

@@ -388,21 +388,3 @@ def build_soc(
     host.port.bind(global_xbar.slave_port("host"))
     return SoC(system=system, dram=dram, global_xbar=global_xbar, host=host, irq=irq)
 
-
-def run_standalone(
-    source: Union[str, Module],
-    func_name: str,
-    args_builder,
-    **kwargs,
-) -> RunResult:
-    """One-call helper: build, stage data, run.
-
-    ``args_builder(acc)`` receives the `StandaloneAccelerator`, stages
-    input arrays, and returns the kernel argument list.
-
-    Thin shim over :class:`repro.exec.SimContext`, kept for
-    backwards compatibility.
-    """
-    from repro.exec.context import SimContext
-
-    return SimContext.from_source(source, func_name, args_builder, **kwargs).run()

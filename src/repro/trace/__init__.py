@@ -9,9 +9,8 @@ timelines.  When no hub is attached every instrumentation site is a
 single ``None`` check — untraced runs are cycle- and wall-clock
 identical to the uninstrumented simulator.
 
-Entry points: ``System.attach_trace_hub`` (any built system),
-``SimContext(trace=...)`` / ``Simulation(system, trace=...)`` (the
-execution layer), and ``python -m repro run ... --trace compute,mem
+Entry points: ``System.attach_probe(TraceHub(...))`` (any built system),
+``SimContext(trace=...)`` (the execution layer), and ``python -m repro run ... --trace compute,mem
 --trace-out trace.json`` (the CLI).
 """
 

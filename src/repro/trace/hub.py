@@ -10,11 +10,10 @@ per-channel emit/drop accounting.
 
 Design constraints, in order:
 
-* **Zero overhead when detached.**  Instrumented objects keep a
-  ``_thub`` attribute that is ``None`` until a hub is attached; every
-  hot-path emit site guards on that single attribute, so an untraced
-  simulation pays one pointer compare per site and produces bit- and
-  cycle-identical results.
+* **Zero overhead when detached.**  The hub is an observer on the
+  instrumentation bus (`repro.sim.probe`): an untraced simulation pays
+  one pointer compare per site and produces bit- and cycle-identical
+  results.
 * **Bounded memory.**  The ring holds ``capacity`` events; older events
   are evicted (and counted as dropped, per channel) rather than growing
   without bound.  Tracing a long run degrades to "the most recent
@@ -29,6 +28,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
+
+from repro.sim.probe import Probe
 
 #: The first-class channels: one per platform layer, plus ``faults``
 #: for `repro.faults` injections (so injected events line up with the
@@ -102,7 +103,7 @@ def parse_channels(spec: Union[str, Iterable[str], None]) -> tuple[str, ...]:
     return tuple(ch for ch in CHANNELS if ch in names)
 
 
-class TraceHub:
+class TraceHub(Probe):
     """Channelized event sink with bounded storage and drop accounting."""
 
     def __init__(

@@ -3,13 +3,11 @@
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.config import DeviceConfig
 from repro.exec import RunCache, SimContext, Simulation
 from repro.sim.simobject import System
-from repro.system.soc import run_standalone
 from repro.workloads import get_workload
 
 KERNEL = """
@@ -60,20 +58,6 @@ def test_context_explicit_phases():
     assert len(args) == len(ctx.workload.arg_order)
     result = ctx.run()
     assert result.cycles > 0
-
-
-def test_context_source_mode_matches_run_standalone():
-    def build_args(acc):
-        a = acc.alloc_array(np.arange(16.0))
-        b = acc.alloc_array(np.ones(16))
-        c = acc.alloc(16 * 8)
-        return [a, b, c]
-
-    ctx = SimContext.from_source(KERNEL, "vecadd", build_args,
-                                 memory="spm", spm_bytes=1 << 13)
-    direct = run_standalone(KERNEL, "vecadd", build_args,
-                            memory="spm", spm_bytes=1 << 13)
-    assert ctx.run().cycles == direct.cycles
 
 
 def test_context_argument_validation():

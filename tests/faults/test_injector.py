@@ -181,10 +181,22 @@ def test_double_attach_rejected(system):
         injector.attach(system)
 
 
-def test_detach_clears_every_hook(system):
+
+def test_failed_attach_leaves_the_system_untouched(system):
     spm = Scratchpad("spm", system, base=0x1000, size=64)
-    injector = FaultInjector("bit_flip@spm:access=1,addr=0x1000,bit=0")
-    injector.attach(system)
-    assert spm._finj is injector
-    injector.detach()
-    assert spm._finj is None
+    # The first event is valid and tick-triggered; the second names no
+    # object.  Nothing may be scheduled or hooked before the error.
+    plan = ["bit_flip@spm:tick=10,addr=0x1000,bit=0", "dma_drop@nosuchobj:access=1"]
+    with pytest.raises(FaultConfigError, match="no SimObject matches"):
+        FaultInjector(plan).attach(system)
+    assert spm._probe is None
+    assert system.observers == []
+    assert system.eventq.empty()
+
+
+def test_failed_attach_fails_every_run():
+    ctx = _ctx(faults=[FLIP_SPEC, "dma_drop@nosuchobj:access=1"])
+    for __ in range(2):
+        with pytest.raises(FaultConfigError, match="nosuchobj"):
+            ctx.run()
+    assert ctx.accelerator is None

@@ -1,7 +1,6 @@
 """AccessSanitizer vector-clock and race-detection unit tests."""
 
-from repro.sim.sanitizer import AccessSanitizer, attach
-from repro.sim.simobject import SimObject, System
+from repro.sim.sanitizer import AccessSanitizer
 
 
 def test_unordered_write_write_detected():
@@ -111,15 +110,3 @@ def test_summary_shape():
     assert summary["num_syncs"] == 1
     assert summary["agents"] == ["a"]
 
-
-def test_attach_detach_propagates_to_objects():
-    system = System("s", clock_freq_hz=1e9)
-    obj = SimObject("s.obj", system)
-    assert obj._san is None
-    san = attach(system)
-    assert obj._san is san
-    late = SimObject("s.late", system)  # registered after attach
-    assert late._san is san
-    system.detach_sanitizer()
-    assert obj._san is None and late._san is None
-    assert system.sanitizer is None

@@ -1,9 +1,10 @@
-"""Convenience helpers: run_standalone, summaries, cluster power."""
+"""Convenience helpers: one-call source runs, summaries, cluster power."""
 
 import numpy as np
 import pytest
 
-from repro.system.soc import StandaloneAccelerator, run_standalone
+from repro.exec import SimContext
+from repro.system.soc import StandaloneAccelerator
 
 SRC = """
 void negate(double a[16], double out[16]) {
@@ -12,7 +13,7 @@ void negate(double a[16], double out[16]) {
 """
 
 
-def test_run_standalone_one_call(rng):
+def test_from_source_one_call(rng):
     data = rng.uniform(-1, 1, 16)
     holder = {}
 
@@ -22,7 +23,8 @@ def test_run_standalone_one_call(rng):
         holder["acc"] = acc
         return [holder["pa"], holder["pout"]]
 
-    result = run_standalone(SRC, "negate", stage, memory="spm", spm_bytes=1 << 12)
+    result = SimContext.from_source(SRC, "negate", stage, memory="spm",
+                                    spm_bytes=1 << 12).run()
     assert result.cycles > 0
     out = holder["acc"].read_array(holder["pout"], np.float64, 16)
     assert np.allclose(out, -data)

@@ -47,7 +47,7 @@ def test_untraced_context_attaches_nothing(workload):
     ctx = SimContext(workload)
     ctx.run()
     assert ctx.trace_hub is None
-    assert ctx.accelerator.system.trace_hub is None
+    assert ctx.accelerator.system.observers == []
     assert ctx.last_result.trace_summary is None
 
 
