@@ -387,8 +387,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     context = SimContext(workload, seed=args.seed, cache=cache,
                          trace=trace_cfg, faults=plan,
                          timeout_s=args.point_timeout,
-                         artifact_store=store, engine=args.engine,
-                         sanitize=args.sanitize, **kwargs)
+                         artifact_store=store, sanitize=args.sanitize,
+                         **kwargs)
     hardened = bool(plan) or args.point_timeout is not None
     try:
         result = context.run()
@@ -401,11 +401,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_injected(context)
         return 1
     print(f"workload        : {workload.name} ({workload.description})")
-    if args.engine != "dynamic":
-        used = context.engine_used or "none (cache hit, no simulation ran)"
-        reason = context.fallback_reason
-        print(f"engine          : {used}"
-              + (f" (fallback: {reason})" if reason else ""))
+    used = context.engine_used or "none (cache hit, no simulation ran)"
+    reason = context.fallback_reason
+    print(f"engine          : {used}"
+          + (f" (fallback: {reason})" if reason else ""))
     if plan:
         print(f"faults injected : {len(plan.events)} event(s) armed "
               "(results bypass the run cache)")
@@ -474,8 +473,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     executor = ParallelSweep(workers=args.workers, cache=cache,
                              point_timeout=args.point_timeout,
                              retries=args.retries, strict=args.strict,
-                             artifact_store=store, engine=args.engine,
-                             checkpoint=checkpoint)
+                             artifact_store=store, checkpoint=checkpoint)
     points = executor.run(workload, {"ports": args.ports}, configure,
                           seed=args.seed)
     healthy = [point for point in points if point.ok]
@@ -542,7 +540,7 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         # Let the server report the unknown workload as a job failure.
         spec["workload"] = target
     if args.kind in ("run", "sweep"):
-        spec.update(memory=args.memory, engine=args.engine)
+        spec["memory"] = args.memory
         if args.kind == "run":
             spec["ports"] = args.ports[0] if args.ports else 2
         else:
@@ -772,12 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--artifact-dir", metavar="DIR",
                        help="content-addressed build-artifact store "
                             "(kernel compiles are cached across runs)")
-    p_run.add_argument("--engine", choices=["dynamic", "graph"],
-                       default="dynamic",
-                       help="execution backend: the dynamic event-queue "
-                            "engine, or the graph-compiled fast path "
-                            "(byte-identical stats; falls back to dynamic "
-                            "for features it does not model)")
     p_run.add_argument("--sanitize", action="store_true",
                        help="attach the runtime access sanitizer: vector-"
                             "clock race detection over every attributed "
@@ -812,10 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "points are appended as they finish, and a "
                               "re-run resumes from them instead of "
                               "re-simulating")
-    p_sweep.add_argument("--engine", choices=["dynamic", "graph"],
-                         default="dynamic",
-                         help="execution backend for every point (see "
-                              "'run --engine')")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -864,8 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--seed", type=int, default=7)
     p_submit.add_argument("--memory", choices=["spm", "cache", "ideal"],
                           default="spm")
-    p_submit.add_argument("--engine", choices=["dynamic", "graph"],
-                          default="dynamic")
     p_submit.add_argument("--func", help="entry function for kernel files")
     p_submit.add_argument("--passes", metavar="SPEC",
                           help="explicit pass pipeline (see 'compile')")

@@ -80,11 +80,6 @@ class GraphScheduler:
         self.engine = unit.engine
         self.memctrl = unit.comm.memctrl
         self.spm = spm if spm is not None else unit.private_spm
-        if self.memctrl.strict_ranges:
-            raise EngineError(
-                f"{self.engine.name}: graph engine does not model "
-                "strictly-ordered regions"
-            )
 
     # ------------------------------------------------------------------
     def run(self, arg_values: list, max_ticks: Optional[int] = None) -> bool:

@@ -95,7 +95,6 @@ class SimContext:
         verify: bool = True,
         cache: Optional[RunCache] = None,
         max_ticks: Optional[int] = None,
-        max_events: Optional[int] = None,
         source: Union[str, Module, None] = None,
         func_name: Optional[str] = None,
         args_builder: Optional[Callable[[StandaloneAccelerator], list]] = None,
@@ -107,7 +106,7 @@ class SimContext:
         module: Union[Module, Artifact, None] = None,
         pipeline: Union[str, PipelineSpec, None] = None,
         artifact_store: Optional[ArtifactStore] = None,
-        engine: str = "dynamic",
+        engine: str = "graph",
         **acc_kwargs,
     ) -> None:
         if (workload is None) == (source is None):
@@ -127,7 +126,6 @@ class SimContext:
         self.verify = verify
         self.cache = cache
         self.max_ticks = max_ticks
-        self.max_events = max_events
         # Tracing is observability only: deliberately NOT in cache_key().
         self.trace = TraceConfig.coerce(trace)
         # Robustness knobs: fault plans poison results, so faulty runs
@@ -147,9 +145,9 @@ class SimContext:
         self.pipeline = PipelineSpec.parse(pipeline) if pipeline is not None else None
         self.artifact_store = artifact_store
         # Engine selection is an execution strategy, not a design point:
-        # the graph backend produces byte-identical results, so it is
-        # deliberately NOT part of cache_key() — both engines share one
-        # run-cache entry.
+        # the graph backend (the default) produces byte-identical
+        # results, so it is deliberately NOT part of cache_key() — both
+        # engines share one run-cache entry.
         self.engine = engine
         self.acc_kwargs = dict(acc_kwargs)
         # Live per-run state (rebuilt after reset; never pickled).
@@ -194,7 +192,9 @@ class SimContext:
 
     @property
     def fallback_reason(self) -> Optional[str]:
-        """Why a requested graph run fell back to dynamic, if it did."""
+        """Why the last run used the event queue although the graph
+        engine was requested (None when it ran on graph, or when
+        ``engine="dynamic"`` was asked for explicitly)."""
         return self._acc.fallback_reason if self._acc is not None else None
 
     def cache_key(self) -> str:
@@ -276,7 +276,7 @@ class SimContext:
             self.reset()
         acc = self.build()
         args = self._args if self._args is not None else self.stage()
-        result = acc.run(args, max_ticks=self.max_ticks, max_events=self.max_events,
+        result = acc.run(args, max_ticks=self.max_ticks,
                          watchdog=self._make_watchdog(acc.system))
         self._ran = True
         if self.trace_hub is not None:

@@ -60,7 +60,8 @@ class SweepPoint:
     #: Engine that actually produced the result ("dynamic"/"graph"),
     #: "" when unknown (cache/checkpoint hits — no simulation ran).
     engine_used: str = ""
-    #: Why a requested engine degraded for this point ("" otherwise).
+    #: Why this point used the event queue instead of the graph engine
+    #: ("" when it ran on graph, or no simulation ran).
     fallback_reason: str = ""
 
     @property
@@ -113,7 +114,7 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
                    trace: Optional[TraceConfig] = None,
                    faults=None, watchdog=None,
                    timeout_s: Optional[float] = None,
-                   module=None, engine: str = "dynamic") -> dict:
+                   module=None) -> dict:
     """Worker body: one full SimContext lifecycle, returned as a payload dict.
 
     Runs in a pool process (or inline for the serial path — the same
@@ -133,8 +134,7 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
     try:
         ctx = SimContext(workload, seed=seed, verify=verify, max_ticks=max_ticks,
                          trace=trace, faults=faults, watchdog=watchdog,
-                         timeout_s=timeout_s, module=module, engine=engine,
-                         **acc_kwargs)
+                         timeout_s=timeout_s, module=module, **acc_kwargs)
         payload = ctx.run().to_dict()
         payload["__engine__"] = {
             "engine_used": ctx.engine_used or "",
@@ -185,11 +185,6 @@ class ParallelSweep:
     #: point's ``unroll_factor``; a non-default spec joins the run-cache
     #: key so differently-optimized runs never collide.
     pipeline: object = None
-    #: Execution backend for every point ("dynamic" or "graph").  The
-    #: graph engine is byte-identical, so it shares run-cache entries
-    #: with dynamic runs; points the graph backend cannot model fall
-    #: back per-point (see `repro.engine.resolve_engine`).
-    engine: str = "dynamic"
     #: Durable resume: a path (or `SweepCheckpoint`) recording every
     #: completed point; a re-run skips the points already on disk.
     #: After `run()`, ``checkpoint_resumed`` counts the skipped points.
@@ -398,8 +393,7 @@ class ParallelSweep:
             __, __, kwargs, plan = pending[slot]
             return _execute_point(workload, kwargs, seed, self.verify,
                                   self.max_ticks, trace, plan, wd_spec,
-                                  self.point_timeout, modules[slot],
-                                  self.engine)
+                                  self.point_timeout, modules[slot])
 
         if self.workers == 1 or len(pending) <= 1:
             for slot in range(len(pending)):
@@ -420,7 +414,7 @@ class ParallelSweep:
                             _execute_point, workload, pending[slot][2], seed,
                             self.verify, self.max_ticks, trace,
                             pending[slot][3], wd_spec, self.point_timeout,
-                            modules[slot], self.engine,
+                            modules[slot],
                         )
                         for slot in remaining
                     }

@@ -158,17 +158,15 @@ class JobJournal:
         append happens before the journal append), so replaying it on
         top of the snapshot is an idempotent no-op.
         """
-        snapshot = {
-            "version": JOURNAL_VERSION,
-            "t": round(time.time(), 6),
-            "jobs": [job.to_journal() for job in queue.jobs.values()],
-            "counters": queue.counters(),
-        }
-        blob = json.dumps(snapshot, sort_keys=True, default=str)
+        tmp = self.dir / f"{self.SNAPSHOT_NAME}.tmp{os.getpid()}"
+        try:
+            _write_snapshot(tmp, queue)
+        except OSError:
+            with self._lock:
+                self.write_errors += 1
+            return
         with self._lock:
-            tmp = self.dir / f"{self.SNAPSHOT_NAME}.tmp{os.getpid()}"
             try:
-                tmp.write_text(blob)
                 os.replace(tmp, self.snapshot_path)
                 if self._fh is not None:
                     self._fh.close()
@@ -328,6 +326,27 @@ class JobJournal:
             "recovered_jobs": self.recovered_jobs,
             "requeued_jobs": self.requeued_jobs,
         }
+
+
+def _write_snapshot(path: Path, queue: JobQueue) -> None:
+    """Write the snapshot document one job at a time.
+
+    A snapshot holds every job's result.  Built as one string it is a
+    transient second copy of all of them, which raises the server's
+    peak memory in step with the number of jobs it has served.  The
+    document is the one ``json.dumps(snapshot, sort_keys=True)`` would
+    produce.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"counters": '
+                 + json.dumps(queue.counters(), sort_keys=True)
+                 + ', "jobs": [')
+        for index, job in enumerate(queue.jobs.values()):
+            if index:
+                fh.write(", ")
+            fh.write(json.dumps(job.to_journal(), sort_keys=True, default=str))
+        fh.write(f'], "t": {json.dumps(round(time.time(), 6))}, '
+                 f'"version": {JOURNAL_VERSION}}}')
 
 
 def _id_floor(job_ids: list) -> int:

@@ -290,16 +290,6 @@ class JobServer:
         spec = body.get("spec")
         if not isinstance(spec, dict):
             raise HttpError(400, "spec must be a JSON object")
-        if kind in ("run", "sweep"):
-            # The dedup key leaves the engine out, so a bad engine must
-            # be refused here: a cache hit or a coalesced primary would
-            # otherwise report it done.
-            from repro.engine import ENGINES
-
-            engine = spec.get("engine", "dynamic")
-            if engine not in ENGINES:
-                raise HttpError(400, f"bad engine {engine!r} "
-                                     f"(expected one of {', '.join(ENGINES)})")
         if not self.verify:
             spec = dict(spec, verify=False)
         fallback_reasons: list = []

@@ -167,7 +167,6 @@ def _job_run(spec: dict, state: "ServerState", publish) -> dict:
                      verify=bool(spec.get("verify", True)),
                      cache=state.run_cache,
                      artifact_store=state.artifact_store,
-                     engine=spec.get("engine", "dynamic"),
                      timeout_s=spec.get("timeout_s"),
                      **run_spec_kwargs(spec))
     # Probe before building so a cache hit never pays a compile
@@ -178,10 +177,11 @@ def _job_run(spec: dict, state: "ServerState", publish) -> dict:
         publish("compiling")
         ctx.build()
         ctx.stage()
-        publish("running", engine=ctx.engine)
+        publish("running")
     result = ctx.run()
+    # engine_used is None on a cache hit: no simulation ran.
     publish("cache_hit" if ctx.cache_hit else "ran",
-            cycles=result.cycles)
+            cycles=result.cycles, engine=ctx.engine_used)
     payload = result.to_dict()
     payload["__cache_hit__"] = ctx.cache_hit
     return payload
@@ -211,7 +211,6 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         retries=int(spec.get("retries", 0)),
         retry_backoff_s=float(spec.get("backoff_s", 0.1)),
         artifact_store=state.artifact_store,
-        engine=spec.get("engine", "dynamic"),
         checkpoint=state.sweep_checkpoint_path(spec),
     )
     publish("compiling")

@@ -49,8 +49,8 @@ class RunResult:
     trace_summary: Optional[dict] = None
     #: `AccessSanitizer.summary()` when the run was sanitized.
     sanitizer: Optional[dict] = None
-    #: Transient provenance: which engine produced this result and why a
-    #: request fell back.  Deliberately *not* serialized — cached entries
+    #: Transient provenance: which engine produced this result and why it
+    #: used the event queue.  Deliberately *not* serialized — cached entries
     #: must stay byte-identical no matter which engine produced them
     #: (`run_cache_key` excludes the engine), so provenance never
     #: round-trips through `to_dict`/`from_dict`.
@@ -111,7 +111,7 @@ class StandaloneAccelerator:
         dram_kwargs: Optional[dict] = None,
         artifact_store=None,
         pipeline=None,
-        engine: str = "dynamic",
+        engine: str = "graph",
     ) -> None:
         if memory not in ("spm", "cache", "ideal"):
             raise ValueError(f"unknown memory configuration '{memory}'")
@@ -127,7 +127,8 @@ class StandaloneAccelerator:
         self.engine_request = engine
         #: Engine that actually executed the most recent run().
         self.engine_used: Optional[str] = None
-        #: Why a graph request fell back to dynamic (None otherwise).
+        #: Why the most recent run used the event queue although the
+        #: graph engine was requested (None otherwise).
         self.fallback_reason: Optional[str] = None
         self.artifact_store = artifact_store
         self._graph = None
@@ -246,13 +247,10 @@ class StandaloneAccelerator:
         return self._graph
 
     def run(self, args: list, max_ticks: Optional[int] = None,
-            max_events: Optional[int] = None, watchdog=None,
-            engine: Optional[str] = None) -> RunResult:
+            watchdog=None) -> RunResult:
         from repro.engine import GraphLoweringError, resolve_engine
 
-        requested = engine if engine is not None else self.engine_request
-        chosen, reason = resolve_engine(requested, self,
-                                        max_events=max_events,
+        chosen, reason = resolve_engine(self.engine_request, self,
                                         watchdog=watchdog)
         graph = None
         if chosen == "graph":
@@ -265,21 +263,16 @@ class StandaloneAccelerator:
         if chosen == "graph":
             completed = self.unit.launch_compiled(graph, args,
                                                   max_ticks=max_ticks)
-            if not completed:
-                raise RuntimeError(
-                    f"{self.func_name}: simulation ended before kernel "
-                    f"completion"
-                )
         else:
             done = {"flag": False}
             self.unit.launch(args, on_done=lambda: done.update(flag=True))
-            self.system.run(max_tick=max_ticks, max_events=max_events,
-                            watchdog=watchdog)
-            if not done["flag"]:
-                raise RuntimeError(
-                    f"{self.func_name}: simulation ended before kernel "
-                    f"completion"
-                )
+            self.system.run(max_tick=max_ticks, watchdog=watchdog)
+            completed = done["flag"]
+        if not completed:
+            raise RuntimeError(
+                f"{self.func_name}: simulation ended before kernel "
+                f"completion"
+            )
         engine = self.unit.engine
         return RunResult(
             cycles=engine.total_cycles,

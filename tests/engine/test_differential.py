@@ -101,3 +101,21 @@ def test_fu_stall_stats_match_under_fu_limits():
                 for value in stalls.values())
     assert stalls and total > 0, (
         "a 1-unit fp pool on unrolled gemm must block some acquires")
+
+
+# -- tracing: the one place the engines differ ---------------------------
+def test_traced_default_run_matches_traced_dynamic_run():
+    # The event queue's per-event dispatch records exist only when the
+    # event queue runs, so ``sched`` counts differ; every other channel
+    # and every stat are identical.
+    default = SimContext(get_workload("gemm_dse"), seed=7, verify=False,
+                         trace=True, unroll_factor=2)
+    graph = default.run()
+    assert default.engine_used == "graph"
+    dynamic = _context("gemm_dse", "dynamic", 2, trace=True).run()
+    graph_dict, dynamic_dict = graph.to_dict(), dynamic.to_dict()
+    graph_counts = graph_dict.pop("trace_summary")["emitted"]
+    dynamic_counts = dynamic_dict.pop("trace_summary")["emitted"]
+    assert json.dumps(graph_dict) == json.dumps(dynamic_dict)
+    assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
+    assert graph_counts == dynamic_counts

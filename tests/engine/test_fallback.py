@@ -1,6 +1,7 @@
-"""Fallback rules: a graph request degrades to dynamic — never errors —
-whenever a feature the graph backend does not model is active, and the
-degraded run behaves exactly like an explicit dynamic run."""
+"""Fallback rules: the graph engine is the default, and a graph run
+moves to the event queue — never errors — whenever a feature the graph
+backend does not model is active; the degraded run behaves exactly like
+an explicit dynamic run."""
 
 import json
 
@@ -38,13 +39,6 @@ def test_timeout_falls_back():
     assert "watchdog" in ctx.fallback_reason
 
 
-def test_max_events_budget_falls_back():
-    ctx = _graph_ctx(max_events=10**9)
-    ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert "max_events" in ctx.fallback_reason
-
-
 def test_cache_memory_falls_back():
     ctx = _graph_ctx(memory="cache")
     ctx.run()
@@ -64,11 +58,33 @@ def test_fallback_run_identical_to_explicit_dynamic():
 def test_engine_provenance_is_not_serialized():
     # engine_used/fallback_reason are transient: cached results must
     # stay byte-identical no matter which engine produced them.
-    result = _graph_ctx(max_events=10**9).run()
+    result = _graph_ctx(memory="cache").run()
     assert result.fallback_reason
     payload = result.to_dict()
     assert "engine_used" not in payload
     assert "fallback_reason" not in payload
+
+
+def test_strict_route_falls_back():
+    from repro.mem.stream_buffer import StreamBuffer
+    from repro.mem.stream_port import StreamPort
+
+    ctx = SimContext(get_workload("gemm_dse"), seed=7, memory="spm")
+    acc = ctx.build()
+    buffer = StreamBuffer("b", acc.system, capacity_tokens=4)
+    port = StreamPort("sp", acc.system, buffer, base=0x9000_0000)
+    acc.unit.comm.add_memory_route(port.range, port.port, strict=True)
+    ctx.run()
+    assert ctx.engine_used == "dynamic"
+    assert ctx.fallback_reason == "strictly-ordered memory regions"
+
+
+def test_graph_is_the_default():
+    ctx = SimContext(get_workload("gemm"))
+    ctx.run()
+    assert ctx.engine == "graph"
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
 
 
 def test_honoured_request_reports_no_reason():

@@ -83,9 +83,12 @@ def test_graph_sweep_matches_dynamic_sweep():
         return {"memory": "spm", "spm_banks": params["banks"]}
 
     grid = {"banks": [2, 4]}
-    runs = {}
-    for engine in ("dynamic", "graph"):
-        points = ParallelSweep(verify=False, engine=engine).run(
-            get_workload("gemm"), grid, configure, seed=7)
-        runs[engine] = [(p.params, p.result.to_dict()) for p in points]
-    assert runs["dynamic"] == runs["graph"]
+    points = ParallelSweep(verify=False).run(
+        get_workload("gemm"), grid, configure, seed=7)
+    assert [p.engine_used for p in points] == ["graph", "graph"]
+    dynamic = [
+        SimContext(get_workload("gemm"), seed=7, verify=False,
+                   engine="dynamic", **configure(p.params)).run().to_dict()
+        for p in points
+    ]
+    assert [p.result.to_dict() for p in points] == dynamic

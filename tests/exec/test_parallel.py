@@ -90,4 +90,15 @@ def test_cached_parallel_sweep_records_match_serial():
     for key in ("memory", "unroll", "cycles", "runtime_us", "power_mw",
                 "stall_fraction", "issue_fraction") + PROVENANCE:
         assert key in record
-    assert record["engine_used"] == "dynamic"
+    assert record["engine_used"] == "graph"
+    assert record["fallback_reason"] == ""
+
+
+def test_sweep_records_graph_and_memory_fallback_per_point():
+    points = ParallelSweep().run(get_workload("gemm_dse"),
+                                 {"memory": ["spm", "cache"], "unroll": [1]},
+                                 _configure, seed=7)
+    assert [(p.engine_used, p.fallback_reason) for p in points] == [
+        ("graph", ""),
+        ("dynamic", "memory='cache' is not graph-modelled"),
+    ]

@@ -9,7 +9,7 @@ import json
 
 from repro.exec.failures import FailureRecord
 from repro.serve.jobs import JobQueue, JobState
-from repro.serve.journal import JobJournal, recover_queue
+from repro.serve.journal import JOURNAL_VERSION, JobJournal, recover_queue
 
 
 def make_failure(message="boom"):
@@ -164,6 +164,20 @@ def test_compaction_truncates_journal_and_preserves_state(tmp_path):
     for n, job in enumerate(jobs):
         assert queue2.jobs[job.id].result == {"n": n}
     assert queue2.executed == 3
+
+
+def test_streamed_snapshot_is_the_one_shot_document(tmp_path):
+    queue, journal = fresh(tmp_path)
+    jobs = [queue.submit("run", {"n": n}) for n in range(3)]
+    queue.claim()
+    queue.resolve(jobs[0], result={"cycles": 1.5, "stats": {"a": [1, 2]}})
+    journal.compact(queue)
+    text = journal.snapshot_path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True)
+    assert doc["jobs"] == [job.to_journal() for job in queue.jobs.values()]
+    assert doc["counters"] == queue.counters()
+    assert doc["version"] == JOURNAL_VERSION
 
 
 def test_recovery_after_snapshot_only(tmp_path):

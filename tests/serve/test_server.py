@@ -183,24 +183,18 @@ def test_bad_requests_are_client_errors(client):
     assert excinfo.value.status == 404
 
 
-def test_invalid_engine_is_refused_whether_or_not_cached(client):
-    bogus = dict(RUN_SPEC, engine="bogus")
-    # Uncached: refused at submit instead of failing in a worker.
-    with pytest.raises(ServeError) as excinfo:
-        client.submit("run", bogus)
-    assert excinfo.value.status == 400
-    # Cached: the dedup key leaves the engine out, so without the check
-    # the submit-time cache probe would report the bad request done.
-    done = client.wait(client.submit("run", dict(RUN_SPEC))["id"])
+def test_stale_engine_key_is_ignored_and_dedups(client):
+    # "engine" is not a spec key: like any unknown key it is ignored,
+    # so the spec shares a job (and a result) with the same spec
+    # without it.
+    client.pause()
+    plain = client.submit("run", dict(RUN_SPEC))
+    stale = client.submit("run", dict(RUN_SPEC, engine="dynamic"))
+    assert stale["deduped_of"] == plain["id"]
+    client.resume()
+    done = client.wait(stale["id"])
     assert done["state"] == JobState.DONE
-    with pytest.raises(ServeError) as excinfo:
-        client.submit("run", bogus)
-    assert excinfo.value.status == 400
-    for kind, spec in (("sweep", dict(RUN_SPEC, ports=[4], engine="bogus")),
-                       ("run", dict(RUN_SPEC, engine="retime"))):
-        with pytest.raises(ServeError) as excinfo:
-            client.submit(kind, spec)
-        assert excinfo.value.status == 400
+    assert done["result"] == client.wait(plain["id"])["result"]
 
 
 def test_dedup_key_equals_run_cache_key_class():

@@ -78,6 +78,14 @@ def test_run_workload(capsys):
     out = capsys.readouterr().out
     assert "verified" in out
     assert "cycles" in out
+    assert "engine          : graph\n" in out
+
+
+def test_run_reports_event_queue_fallback(capsys):
+    assert main(["run", "gemm_dse", "--memory", "cache"]) == 0
+    out = capsys.readouterr().out
+    assert ("engine          : dynamic (fallback: memory='cache' is not "
+            "graph-modelled)\n") in out
 
 
 def test_sweep(capsys):
