@@ -465,15 +465,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     cache = RunCache(args.cache_dir) if args.cache_dir else None
     store = _artifact_store(args)
-    checkpoint = None
-    if args.checkpoint:
-        from repro.exec import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint(args.checkpoint)
     executor = ParallelSweep(workers=args.workers, cache=cache,
                              point_timeout=args.point_timeout,
                              retries=args.retries, strict=args.strict,
-                             artifact_store=store, checkpoint=checkpoint)
+                             artifact_store=store)
     points = executor.run(workload, {"ports": args.ports}, configure,
                           seed=args.seed)
     healthy = [point for point in points if point.ok]
@@ -492,9 +487,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"artifact cache  : {store.hits} hit(s), "
               f"{store.misses} miss(es)")
-    if checkpoint is not None:
-        print(f"checkpoint      : {checkpoint.resumed} point(s) resumed "
-              f"from {checkpoint.path}")
     return 1 if failed else 0
 
 
@@ -785,7 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="fan the sweep out over N processes")
     p_sweep.add_argument("--cache-dir", metavar="DIR",
-                         help="content-addressed run cache (reruns are near-free)")
+                         help="content-addressed run cache; each point is "
+                              "stored as it finishes, so a rerun resumes "
+                              "an interrupted sweep")
     p_sweep.add_argument("--point-timeout", type=float, metavar="SECONDS",
                          help="per-point wall-clock budget; a point that "
                               "exceeds it becomes a failed row, not a hang")
@@ -799,11 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="content-addressed build-artifact store; the "
                               "kernel is compiled once per sweep and hits "
                               "on reruns")
-    p_sweep.add_argument("--checkpoint", metavar="FILE",
-                         help="durable sweep checkpoint (JSONL): completed "
-                              "points are appended as they finish, and a "
-                              "re-run resumes from them instead of "
-                              "re-simulating")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -817,7 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "job queue")
     p_serve.add_argument("--cache-dir", metavar="DIR",
                          help="on-disk run cache shared by every job "
-                              "(in-memory only when omitted)")
+                              "(default: <state-dir>/runs with --state-dir, "
+                              "else in-memory only)")
     p_serve.add_argument("--state-dir", metavar="DIR",
                          help="durable server state: a write-ahead job "
                               "journal under DIR records every submission "

@@ -9,7 +9,6 @@ launch simulations through this layer.
 """
 
 from repro.exec.cache import RunCache, run_cache_key, split_cache_key
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.context import SimContext, Simulation
 from repro.exec.failures import FailureRecord, SweepPointError
 from repro.exec.parallel import ParallelSweep, SweepPoint, grid_points
@@ -33,7 +32,6 @@ __all__ = [
     "split_acc_kwargs",
     "SimContext",
     "Simulation",
-    "SweepCheckpoint",
     "FailureRecord",
     "SweepPointError",
     "ParallelSweep",

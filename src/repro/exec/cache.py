@@ -9,7 +9,9 @@ matter which process (or which run of the program) produced them.
 
 `RunCache` stores `RunResult` payloads by key — always in memory,
 optionally mirrored to a directory of ``<key>.json`` files so repeated
-sweeps across program invocations are near-free.
+sweeps across program invocations are near-free.  The on-disk cache is
+also where an interrupted sweep resumes from: `ParallelSweep` stores
+each point as soon as it finishes.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ def split_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     conservatively included).  The memory key covers only the
     memory-side kwargs.  Its one consumer is `run_cache_key`, which
     hashes the pair; the split form is kept so the key values stay
-    exactly what on-disk run caches, sweep checkpoints and serve
-    journals already hold.
+    exactly what on-disk run caches and serve journals already hold.
 
     A non-default ``pipeline`` (pass spec, see `repro.passes.pipeline`)
     changes which optimizations shaped the datapath, so it joins the
@@ -100,9 +101,8 @@ def run_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     unroll_factor, SPM/cache/DRAM geometry, ...).  The flat key is the
     hash of the two-level ``(datapath_key, memory_key)`` pair from
     `split_cache_key` (see `repro.exec.params` for the partition).
-    Consumers: `RunCache` entries (`SimContext`, `ParallelSweep`),
-    `SweepCheckpoint` rows, and the job server's submit-time cache
-    probe and run-job dedup key.
+    Consumers: `RunCache` entries (`SimContext`, `ParallelSweep`), and
+    the job server's submit-time cache probe and run-job dedup key.
     """
     datapath_key, memory_key = split_cache_key(
         source, func_name, seed=seed, pipeline=pipeline, **acc_kwargs)

@@ -26,11 +26,12 @@ workers are retried up to ``retries`` times with deterministic
 exponential backoff (capped by ``retry_backoff_cap_s``);
 ``strict=True`` restores fail-fast semantics.
 
-Sweeps are also *checkpointable*: with ``checkpoint=<path>`` every
-completed point is appended to a durable JSONL file keyed by its
-run-cache key, and a re-run of the same sweep — after a crash, a
-SIGKILL, a new process — loads the file and re-executes only the
-points it is missing (see `repro.exec.checkpoint.SweepCheckpoint`).
+Sweeps are also *resumable*: the parent puts every successful point
+into the attached `RunCache` the moment it is recorded, before
+``on_point`` reports it, so a point reported as done is already stored.
+With an on-disk cache (``RunCache(path)``) a re-run of the same sweep
+— after a crash, a SIGKILL, a new process — answers the finished points
+from the cache and re-executes only the ones it is missing.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.exec.cache import RunCache, run_cache_key
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.context import SimContext
 from repro.exec.failures import FailureRecord, SweepPointError
 from repro.faults import FaultPlan, watchdog_spec
@@ -58,7 +58,7 @@ class SweepPoint:
     result: Optional[RunResult] = None
     failure: Optional[FailureRecord] = None
     #: Engine that actually produced the result ("dynamic"/"graph"),
-    #: "" when unknown (cache/checkpoint hits — no simulation ran).
+    #: "" when unknown (cache hits — no simulation ran).
     engine_used: str = ""
     #: Why this point used the event queue instead of the graph engine
     #: ("" when it ran on graph, or no simulation ran).
@@ -129,7 +129,7 @@ def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
 
     The payload's transient ``__engine__`` sidecar carries per-point
     provenance back to the parent; it is popped before the result dict
-    is cached, checkpointed, or rehydrated.
+    is cached or rehydrated.
     """
     try:
         ctx = SimContext(workload, seed=seed, verify=verify, max_ticks=max_ticks,
@@ -185,10 +185,6 @@ class ParallelSweep:
     #: point's ``unroll_factor``; a non-default spec joins the run-cache
     #: key so differently-optimized runs never collide.
     pipeline: object = None
-    #: Durable resume: a path (or `SweepCheckpoint`) recording every
-    #: completed point; a re-run skips the points already on disk.
-    #: After `run()`, ``checkpoint_resumed`` counts the skipped points.
-    checkpoint: object = None
 
     def run(
         self,
@@ -212,7 +208,9 @@ class ParallelSweep:
         ``workers>1``) — with ``done`` counting monotonically to
         ``total``.  Observability only: it never joins cache keys, and
         both the serial and parallel paths report every point exactly
-        once.
+        once.  With a cache attached, every point reported as done is
+        already stored; afterwards ``cache_hits`` counts the points this
+        run answered from the cache.
         """
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -224,98 +222,60 @@ class ParallelSweep:
 
         total = len(entries)
         done = 0
+        self.cache_hits = 0
+        points = [SweepPoint(params=params) for params, __, ___ in entries]
 
-        def notify(index: int, payload: Optional[dict],
-                   result: Optional[RunResult] = None) -> None:
+        def notify(index: int) -> None:
             nonlocal done
             done += 1
-            if on_point is None:
-                return
-            failure = None
-            info: dict = {}
-            if payload is not None:
-                failure_dict = payload.get("__failure__")
-                if failure_dict is not None:
-                    failure = FailureRecord.from_dict(failure_dict)
-                else:
-                    info = payload.get("__engine__") or {}
-                    result = RunResult.from_dict(payload)
-            on_point(done, total,
-                     SweepPoint(params=entries[index][0], result=result,
-                                failure=failure,
-                                engine_used=info.get("engine_used", ""),
-                                fallback_reason=info.get("fallback_reason", "")))
+            if on_point is not None:
+                on_point(done, total, points[index])
 
-        ckpt = SweepCheckpoint.coerce(self.checkpoint)
-        ckpt_rows = ckpt.load() if ckpt is not None else {}
-        self.checkpoint_resumed = 0
-        results: list[Optional[RunResult]] = [None] * len(entries)
-        failures: list[Optional[FailureRecord]] = [None] * len(entries)
         pending: list[tuple[int, Optional[str], dict, Optional[FaultPlan]]] = []
         for index, (params, kwargs, plan) in enumerate(entries):
             key: Optional[str] = None
-            # Faulty points bypass the cache *and* the checkpoint in
-            # both directions: a corrupted result must never be stored,
-            # and a clean stored result must never stand in for an
-            # injected run.
-            if (self.cache is not None or ckpt is not None) and not plan:
+            # Faulty points bypass the cache in both directions: a
+            # corrupted result must never be stored, and a clean stored
+            # result must never stand in for an injected run.
+            if self.cache is not None and not plan:
                 key = run_cache_key(workload.source, workload.func_name,
                                     seed=seed, pipeline=self.pipeline,
                                     **kwargs)
-            if key is not None and self.cache is not None:
                 cached = self.cache.get(key)
                 if cached is not None:
-                    results[index] = cached
-                    if ckpt is not None:
-                        ckpt.record(key, cached.to_dict())
-                    notify(index, None, result=cached)
+                    points[index].result = cached
+                    self.cache_hits += 1
+                    notify(index)
                     continue
-            if key is not None and ckpt is not None and key in ckpt_rows:
-                # Resumed from the checkpoint: the same lossless dict
-                # round trip every other path takes.
-                result = RunResult.from_dict(ckpt_rows[key])
-                results[index] = result
-                self.checkpoint_resumed += 1
-                if self.cache is not None:
-                    self.cache.put(key, result)
-                notify(index, None, result=result)
-                continue
             pending.append((index, key, kwargs, plan))
-        if ckpt is not None:
-            ckpt.resumed = self.checkpoint_resumed
 
-        modules = self._prebuild(workload, pending)
-        payloads = self._execute(
-            workload, pending, seed, modules,
-            progress=lambda slot, payload: notify(pending[slot][0], payload))
-        infos: list[dict] = [{} for _ in entries]
-        for (index, key, __, ___), payload in zip(pending, payloads):
+        def resolve(slot: int, payload: dict) -> None:
+            index, key = pending[slot][:2]
+            point = points[index]
             failure_dict = payload.get("__failure__")
             if failure_dict is not None:
-                failure = FailureRecord.from_dict(failure_dict)
-                if self.strict:
-                    raise SweepPointError(entries[index][0], failure)
-                failures[index] = failure
-                continue
-            # The provenance sidecar never reaches the cache, the
-            # checkpoint, or the rehydrated result — cached entries stay
-            # byte-identical no matter which engine produced them.
-            info = payload.pop("__engine__", None) or {}
-            infos[index] = info
-            result = RunResult.from_dict(payload)
-            results[index] = result
-            if key is not None:
-                if self.cache is not None:
-                    self.cache.put(key, result)
-                if ckpt is not None:
-                    ckpt.record(key, payload)
-        return [
-            SweepPoint(params=params, result=results[index],
-                       failure=failures[index],
-                       engine_used=infos[index].get("engine_used", ""),
-                       fallback_reason=infos[index].get("fallback_reason", ""))
-            for index, (params, __, ___) in enumerate(entries)
-        ]
+                point.failure = FailureRecord.from_dict(failure_dict)
+            else:
+                # The provenance sidecar never reaches the cache or the
+                # rehydrated result — cached entries stay byte-identical
+                # no matter which engine produced them.
+                info = payload.pop("__engine__", None) or {}
+                point.engine_used = info.get("engine_used", "")
+                point.fallback_reason = info.get("fallback_reason", "")
+                point.result = RunResult.from_dict(payload)
+                if key is not None:
+                    # Stored before it is reported: a point `on_point`
+                    # has seen survives a crash of this process.
+                    self.cache.put(key, point.result)
+            notify(index)
+
+        modules = self._prebuild(workload, pending)
+        self._execute(workload, pending, seed, modules, resolve)
+        if self.strict:
+            for point in points:
+                if point.failure is not None:
+                    raise SweepPointError(point.params, point.failure)
+        return points
 
     def retry_delay(self, attempt: int) -> float:
         """Seconds to wait before retry ``attempt`` (1-based):
@@ -364,30 +324,28 @@ class ParallelSweep:
                  pending: list[tuple[int, Optional[str], dict,
                                      Optional[FaultPlan]]],
                  seed: int, modules: list,
-                 progress: Optional[Callable[[int, dict], None]] = None,
-                 ) -> list[dict]:
-        """Run the pending points, preserving submission order.
+                 resolve: Callable[[int, dict], None]) -> None:
+        """Run the pending points, handing each payload to ``resolve``.
 
         Pool crashes (a worker segfaults or is OOM-killed) don't discard
         the sweep: completed futures are harvested, only genuinely
         unfinished points are resubmitted (up to ``retries`` times, with
         backoff), and whatever still remains runs serially in-process.
 
-        ``progress(slot, payload)`` fires in the parent exactly once per
+        ``resolve(slot, payload)`` fires in the parent exactly once per
         slot, the moment its payload is first recorded — the retry path
         can observe the same future twice, so recording (not completion)
         is the notification point.
         """
         trace = TraceConfig.coerce(self.trace)
         wd_spec = watchdog_spec(self.watchdog)
-        payloads: dict[int, dict] = {}
+        recorded: set[int] = set()
 
         def record(slot: int, payload: dict) -> None:
-            if slot in payloads:
+            if slot in recorded:
                 return
-            payloads[slot] = payload
-            if progress is not None:
-                progress(slot, payload)
+            recorded.add(slot)
+            resolve(slot, payload)
 
         def run_inline(slot: int) -> dict:
             __, __, kwargs, plan = pending[slot]
@@ -398,7 +356,7 @@ class ParallelSweep:
         if self.workers == 1 or len(pending) <= 1:
             for slot in range(len(pending)):
                 record(slot, run_inline(slot))
-            return [payloads[slot] for slot in range(len(pending))]
+            return
 
         remaining = list(range(len(pending)))
         attempts = 0
@@ -407,6 +365,7 @@ class ParallelSweep:
             if attempts > 0:
                 time.sleep(self.retry_delay(attempts))
             futures: dict = {}
+            resolve_error: Optional[OSError] = None
             try:
                 with ProcessPoolExecutor(max_workers=self.workers) as pool:
                     futures = {
@@ -422,19 +381,26 @@ class ParallelSweep:
                     # fire as points finish, not in submission order.
                     slot_of = {future: slot for slot, future in futures.items()}
                     for future in as_completed(slot_of):
-                        record(slot_of[future], future.result())
+                        payload = future.result()
+                        try:
+                            record(slot_of[future], payload)
+                        except OSError as exc:
+                            resolve_error = exc
+                            raise
                     remaining = []
-            except (BrokenProcessPool, PermissionError, OSError):
+            except (BrokenProcessPool, PermissionError, OSError) as exc:
+                if exc is resolve_error:
+                    raise  # storing or reporting a point failed, not the pool
                 # A worker died mid-flight (or this environment forbids
                 # fork/semaphores entirely).  Keep every result that did
                 # complete; only rerun what is genuinely unfinished.
                 for slot, future in futures.items():
-                    if (slot not in payloads and future.done()
+                    if (slot not in recorded and future.done()
                             and not future.cancelled()
                             and future.exception() is None):
                         record(slot, future.result())
-                remaining = [slot for slot in remaining if slot not in payloads]
-                if not payloads:
+                remaining = [slot for slot in remaining if slot not in recorded]
+                if not recorded:
                     # Nothing ever completed: process support is likely
                     # absent — stop burning retries on a dead pool.
                     pool_ok = False
@@ -443,4 +409,3 @@ class ParallelSweep:
         # all) degrade to the serial path, which is result-identical.
         for slot in remaining:
             record(slot, run_inline(slot))
-        return [payloads[slot] for slot in range(len(pending))]

@@ -11,8 +11,8 @@ falls on which side.  Two consumers key off these sets:
 
 * `repro.exec.cache.run_cache_key` is the digest of the two-level
   ``(datapath_key, memory_key)`` pair that `split_cache_key` builds
-  from `split_acc_kwargs`.  Run caches, sweep checkpoints and the job
-  server's dedup keys are all addressed by it;
+  from `split_acc_kwargs`.  Run caches (and so resumable sweeps) and
+  the job server's dedup keys are all addressed by it;
 * `repro.engine.graph.graph_key` drops the memory-side `DeviceConfig`
   fields, so every point of a memory-only sweep shares one lowered
   graph.

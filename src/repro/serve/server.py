@@ -32,7 +32,8 @@ With ``--state-dir`` the server is *durable*: every submission, state
 transition, and progress event is written ahead to
 `repro.serve.journal.JobJournal`, and a restarted server replays it —
 re-queueing the jobs that were queued/running at crash time and still
-serving GET for terminal ones.  SIGTERM/SIGINT trigger the same
+serving GET for terminal ones; sweep jobs resume from the run cache,
+which defaults to ``<state-dir>/runs``.  SIGTERM/SIGINT trigger the same
 graceful drain as ``POST /v1/shutdown?mode=drain``.
 """
 
@@ -43,9 +44,11 @@ import json
 import re
 import threading
 import time
+from pathlib import Path
 from typing import Optional
 from urllib.parse import parse_qs
 
+from repro.exec.cache import RunCache
 from repro.exec.failures import FailureRecord
 from repro.serve.jobs import (
     JOB_KINDS,
@@ -88,7 +91,9 @@ class JobServer:
     With ``state_dir`` set, also one `JobJournal`: the queue journals
     every mutation, and ``__init__`` replays whatever a previous
     process left behind *before* the workers start — so recovered jobs
-    are first in line.
+    are first in line.  Without an explicit ``run_cache`` the run cache
+    then lives under ``<state_dir>/runs``, which is what lets sweep jobs
+    resume their finished points after a restart.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -109,9 +114,12 @@ class JobServer:
             self.recovery = recover_queue(self.queue, self.journal)
         self.breaker = CircuitBreaker(threshold=breaker_threshold,
                                       cooldown_s=breaker_cooldown_s)
+        if run_cache is None and state_dir is not None:
+            # Sweep jobs resume from the run cache: under a state dir
+            # it is durable even without an explicit cache dir.
+            run_cache = RunCache(Path(state_dir) / "runs")
         self.state = ServerState(run_cache=run_cache,
-                                 artifact_store=artifact_store,
-                                 state_dir=state_dir)
+                                 artifact_store=artifact_store)
         self.pool = WorkerPool(self.queue, self.state, workers=workers,
                                breaker=self.breaker)
         self.started_s = time.time()

@@ -9,10 +9,11 @@ One function per job kind, all with the same shape
   the result dict is byte-identical to a direct `SimContext.run`.
 * ``sweep`` — a hardened `ParallelSweep` over a port grid; per-point
   progress (the new ``on_point`` callback) is published to the job's
-  event log, which the SSE endpoint streams.  With a ``--state-dir``
-  the sweep also journals completed points to a per-request checkpoint
-  file, so a sweep interrupted by a crash resumes from its finished
-  points instead of re-simulating them.
+  event log, which the SSE endpoint streams.  Every finished point is
+  stored in the shared `RunCache` before it is published, so with an
+  on-disk cache (``--cache-dir``, or ``<state-dir>/runs``) a sweep
+  interrupted by a crash resumes from its finished points instead of
+  re-simulating them.
 * ``analyze`` — IR lints + memory-dependence report as JSON.
 
 `WorkerPool` owns N asyncio worker tasks that claim jobs from the
@@ -31,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Callable, Optional
 
 from repro.exec.cache import RunCache, run_cache_key
@@ -211,16 +211,12 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         retries=int(spec.get("retries", 0)),
         retry_backoff_s=float(spec.get("backoff_s", 0.1)),
         artifact_store=state.artifact_store,
-        checkpoint=state.sweep_checkpoint_path(spec),
     )
     publish("compiling")
     points = executor.run(workload, {"ports": ports}, configure,
                           seed=int(spec.get("seed", 7)),
                           unroll_factor=int(spec.get("unroll", 1)),
                           on_point=on_point)
-    resumed = getattr(executor, "checkpoint_resumed", 0)
-    if resumed:
-        publish("checkpoint", resumed=resumed)
     healthy = [p for p in points if p.ok]
     front = pareto_front(healthy,
                          objectives=lambda p: (p.runtime_us, p.power_mw))
@@ -230,7 +226,7 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
         row["pareto"] = point in front
         rows.append(row)
     return {"rows": rows, "failed": sum(1 for p in points if not p.ok),
-            "resumed": resumed}
+            "resumed": executor.cache_hits}
 
 
 def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
@@ -286,31 +282,16 @@ class ServerState:
 
     Both caches default to in-memory instances, so even a bare
     ``repro serve`` dedups repeat compiles and runs across jobs;
-    ``--cache-dir``/``--artifact-dir`` make them survive restarts, and
-    ``--state-dir`` additionally gives sweep jobs durable per-request
-    checkpoints (``<state-dir>/sweeps/``).
+    ``--cache-dir``/``--artifact-dir`` make them survive restarts.
     """
 
     def __init__(self, run_cache: Optional[RunCache] = None,
-                 artifact_store=None, state_dir=None) -> None:
+                 artifact_store=None) -> None:
         from repro.build.store import ArtifactStore
 
         self.run_cache = run_cache if run_cache is not None else RunCache()
         self.artifact_store = (artifact_store if artifact_store is not None
                                else ArtifactStore())
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-
-    def sweep_checkpoint_path(self, spec: dict) -> Optional[Path]:
-        """Durable checkpoint file for one sweep request, or None.
-
-        Keyed by the request's dedup hash, so an identical sweep
-        resubmitted after a crash (including the journal-recovered
-        re-queue of the same job) lands on the same checkpoint file.
-        """
-        if self.state_dir is None:
-            return None
-        digest = job_dedup_key("sweep", spec).split(":", 1)[1]
-        return self.state_dir / "sweeps" / f"{digest[:32]}.jsonl"
 
     def cache_stats(self) -> dict:
         from repro.build import STAGE_COUNTERS

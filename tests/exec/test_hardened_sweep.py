@@ -1,5 +1,6 @@
 """Hardened ParallelSweep: failure isolation, strict mode, retry-safe
-pool degradation, and failed-row serialization."""
+pool degradation with exponential backoff, and failed-row
+serialization."""
 
 import json
 
@@ -92,6 +93,41 @@ def test_failed_points_skip_cache_and_healthy_points_use_it(tmp_path):
     assert cache.hits == 2
     for first, second in zip(points, again):
         assert first.ok == second.ok
+
+
+def test_failed_cache_write_is_not_mistaken_for_a_pool_crash():
+    from repro.exec import RunCache
+
+    class FailingOnce(RunCache):
+        failed = False
+
+        def put(self, key, result):
+            if not self.failed:
+                self.failed = True
+                raise OSError("disk full")
+            super().put(key, result)
+
+    cache = FailingOnce()
+    # The point is stored as it is harvested from the pool; the write
+    # error must surface, not be retried away as a dead worker.
+    with pytest.raises(OSError, match="disk full"):
+        ParallelSweep(workers=2, cache=cache).run(
+            get_workload("gemm_dse"), {"ports": [1, 2]}, _configure)
+
+
+# -- retry backoff -----------------------------------------------------------
+def test_retry_backoff_schedule_is_exponential_and_capped():
+    executor = ParallelSweep(retry_backoff_s=0.1, retry_backoff_cap_s=1.0)
+    assert [executor.retry_delay(n) for n in (1, 2, 3, 4, 5, 6)] \
+        == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+    # Deterministic: the same attempt always waits the same time.
+    assert executor.retry_delay(3) == executor.retry_delay(3)
+
+
+def test_backoff_defaults_start_where_the_linear_schedule_did():
+    executor = ParallelSweep()
+    assert executor.retry_delay(1) == 0.1
+    assert executor.retry_delay(100) == executor.retry_backoff_cap_s
 
 
 # -- failure records ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden key values: run-cache and graph keys must not drift.
 
-On-disk run caches, sweep checkpoints, job-server dedup keys and
-journals all hold these keys.  A refactor that changes how a key is
+On-disk run caches, job-server dedup keys and journals all hold these
+keys.  A refactor that changes how a key is
 derived silently invalidates every one of them, so the exact values for
 one fixed configuration are pinned here.  Change them only together
 with a deliberate format bump.

@@ -3,7 +3,9 @@
 The acceptance bar: a GEMM unroll x memory sweep through
 ``ParallelSweep(workers=4)`` produces byte-identical
 ``SweepPoint.record()`` rows to the serial path, and a second run of the
-same grid is served entirely from the run cache.
+same grid is served entirely from the run cache.  With an on-disk
+cache a sweep is resumable: a re-run answers the finished points from
+the cache and executes only the rest.
 """
 
 import json
@@ -13,6 +15,8 @@ from repro.exec import ParallelSweep, RunCache, grid_points
 from repro.workloads import get_workload
 
 GRID = {"memory": ["spm", "ideal"], "unroll": [1, 2]}
+HALF_GRID = {"memory": ["spm"], "unroll": [1]}
+FULL_GRID = {"memory": ["spm"], "unroll": [1, 2]}
 
 
 def _configure(params):
@@ -102,3 +106,59 @@ def test_sweep_records_graph_and_memory_fallback_per_point():
         ("graph", ""),
         ("dynamic", "memory='cache' is not graph-modelled"),
     ]
+
+
+# -- resume from the run cache -----------------------------------------------
+def test_half_done_sweep_resumes_from_the_cache(tmp_path):
+    workload = get_workload("gemm_dse")
+    # "Crash" after half the grid: only the unroll=1 point completed.
+    first = ParallelSweep(cache=RunCache(tmp_path / "runs"))
+    half = first.run(workload, HALF_GRID, _configure, seed=7)
+    assert first.cache_hits == 0
+
+    # Restart over the full grid from a fresh process's view of the same
+    # directory: the finished point is resumed, only unroll=2 executes.
+    second = ParallelSweep(cache=RunCache(tmp_path / "runs"))
+    full = second.run(workload, FULL_GRID, _configure, seed=7)
+    assert second.cache_hits == 1
+    assert len(full) == 2
+
+    # Byte-identical to a sweep that was never interrupted.
+    uninterrupted = ParallelSweep().run(workload, FULL_GRID, _configure,
+                                        seed=7)
+    assert _rows(full) == _rows(uninterrupted)
+    assert _rows(full[:1]) == _rows(half)
+
+
+def test_rerun_resumes_every_point(tmp_path):
+    workload = get_workload("gemm_dse")
+    ParallelSweep(cache=RunCache(tmp_path / "runs")).run(
+        workload, FULL_GRID, _configure, seed=7)
+    cache = RunCache(tmp_path / "runs")
+    again = ParallelSweep(cache=cache)
+    again.run(workload, FULL_GRID, _configure, seed=7)
+    assert again.cache_hits == 2
+    # Idempotent: resuming stored no duplicate entries.
+    assert len(cache) == 2
+
+
+def test_resume_is_config_and_seed_sensitive(tmp_path):
+    workload = get_workload("gemm_dse")
+    ParallelSweep(cache=RunCache(tmp_path / "runs")).run(
+        workload, HALF_GRID, _configure, seed=7)
+    # Same params, different seed: a different run-cache key — the
+    # stored point must NOT be reused.
+    other = ParallelSweep(cache=RunCache(tmp_path / "runs"))
+    other.run(workload, HALF_GRID, _configure, seed=8)
+    assert other.cache_hits == 0
+
+
+def test_on_point_fires_for_resumed_points(tmp_path):
+    workload = get_workload("gemm_dse")
+    ParallelSweep(cache=RunCache(tmp_path / "runs")).run(
+        workload, FULL_GRID, _configure, seed=7)
+    seen = []
+    ParallelSweep(cache=RunCache(tmp_path / "runs")).run(
+        workload, FULL_GRID, _configure, seed=7,
+        on_point=lambda done, total, p: seen.append((done, total, p.ok)))
+    assert seen == [(1, 2, True), (2, 2, True)]

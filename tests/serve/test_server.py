@@ -207,3 +207,33 @@ def test_dedup_key_equals_run_cache_key_class():
     # Different configurations must not collide.
     c = job_dedup_key("run", {"workload": "gemm_dse", "ports": 8, "unroll": 2})
     assert c != a
+
+
+def test_sweep_job_resumes_from_state_dir_run_cache(tmp_path):
+    # A state dir alone makes sweeps resumable: the run cache defaults
+    # to <state_dir>/runs, and a restarted server answers every point
+    # of a repeated sweep from it.
+    state_dir = tmp_path / "state"
+    spec = {"workload": "gemm_dse", "ports": [1, 2], "unroll": 1, "seed": 7}
+    ports = spec["ports"]
+
+    def sweep():
+        with start_server_thread(workers=1, state_dir=state_dir) as handle:
+            client = ServeClient(port=handle.port)
+            job = client.wait(client.submit("sweep", dict(spec))["id"],
+                              timeout=300.0)
+        assert job["state"] == JobState.DONE
+        return job["result"]
+
+    def result_columns(rows):
+        return [{k: v for k, v in row.items()
+                 if k not in ("engine_used", "fallback_reason")}
+                for row in rows]
+
+    first = sweep()
+    assert first["resumed"] == 0
+    assert len(list((state_dir / "runs").glob("*.json"))) == len(ports)
+    again = sweep()
+    assert again["resumed"] == len(ports)
+    assert result_columns(again["rows"]) == result_columns(first["rows"])
+    assert not (state_dir / "sweeps").exists()
