@@ -80,20 +80,30 @@ class ComputeUnit(SimObject):
         args = self.comm.read_arguments(arg_types)
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
-        self.engine.start(args, on_done=self._finished)
-
-    def _finished(self) -> None:
-        self.total_busy_cycles += self.engine.total_cycles
-        self.comm.mmr.set_done()
-        self.comm.raise_interrupt()
-        for callback in self._run_callbacks:
-            callback()
+        self.engine.start(args, on_done=self._done_callback(None))
 
     # -- direct (host-less) programming, for standalone harnesses -------------
     def launch(self, args: list, on_done: Optional[Callable[[], None]] = None) -> None:
         """Start directly with python argument values (no host involved)."""
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
+        self.engine.start(args, on_done=self._done_callback(on_done))
+
+    def launch_compiled(self, graph, args: list,
+                        on_done: Optional[Callable[[], None]] = None) -> None:
+        """:meth:`launch`, with the graph-compiled backend
+        (`repro.engine`) driving the datapath instead of the dynamic
+        engine.  Stats, energy, and the DONE / interrupt protocol land
+        exactly where :meth:`launch` puts them."""
+        from repro.engine.scheduler import GraphScheduler
+
+        self.invocations += 1
+        self.launch_log.append((self.cur_tick, list(args)))
+        GraphScheduler(graph, self).start(args,
+                                          on_done=self._done_callback(on_done))
+
+    def _done_callback(self, on_done: Optional[Callable[[], None]]):
+        """Completion: busy cycles, DONE bit, interrupt, then callbacks."""
         def _done():
             self.total_busy_cycles += self.engine.total_cycles
             self.comm.mmr.set_done()
@@ -102,31 +112,7 @@ class ComputeUnit(SimObject):
                 callback()
             if on_done is not None:
                 on_done()
-        self.engine.start(args, on_done=_done)
-
-    def launch_compiled(self, graph, args: list,
-                        on_done: Optional[Callable[[], None]] = None,
-                        max_ticks: Optional[int] = None) -> bool:
-        """Run ``args`` through the graph-compiled backend instead of the
-        dynamic engine (`repro.engine`).  Stats, energy, and the DONE /
-        interrupt protocol land exactly where :meth:`launch` puts them.
-        Returns False when ``max_ticks`` ended the run early (mirroring
-        the event queue's ``max_tick`` exit)."""
-        from repro.engine.scheduler import GraphScheduler
-
-        self.invocations += 1
-        self.launch_log.append((self.cur_tick, list(args)))
-        scheduler = GraphScheduler(graph, self)
-        completed = scheduler.run(args, max_ticks=max_ticks)
-        if completed:
-            self.total_busy_cycles += self.engine.total_cycles
-            self.comm.mmr.set_done()
-            self.comm.raise_interrupt()
-            for callback in self._run_callbacks:
-                callback()
-            if on_done is not None:
-                on_done()
-        return completed
+        return _done
 
     # -- reporting --------------------------------------------------------------
     def power_report(self) -> PowerReport:

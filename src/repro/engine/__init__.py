@@ -6,12 +6,14 @@ elaborated design into a flat `SimGraph`) and a backend
 per-instruction event-queue traffic), producing byte-identical stats to
 the dynamic `RuntimeEngine` — see DESIGN.md, "Graph-compiled engine".
 
-The graph engine is the default.  `resolve_engine` implements the
-documented fallback rules: a graph run silently moves to the dynamic
-event-queue engine whenever a feature the graph backend does not model
-is active (cache-backed memory, an instrumentation-bus observer that
-declares a fallback reason, watchdogs, pipeline traces,
-strictly-ordered regions).
+The graph engine is the default, on every memory configuration: the
+scheduler models private-SPM and ideal memory inline and drives any
+other memory (cache + DRAM) through the real memctrl ports, from a
+tick event on the system's event queue.  `resolve_engine` implements
+the documented fallback rules: a graph run silently moves to the
+dynamic event-queue engine whenever a feature the graph backend does
+not model is active (an instrumentation-bus observer that declares a
+fallback reason, watchdogs, pipeline traces, strictly-ordered regions).
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ def resolve_engine(requested: str, acc,
     """
     if requested == "dynamic":
         return "dynamic", None
-    if acc.memory not in ("spm", "ideal"):
-        return "dynamic", f"memory='{acc.memory}' is not graph-modelled"
     if watchdog is not None:
         return "dynamic", "watchdog attached"
     for observer in acc.system.observers:

@@ -2,28 +2,54 @@
 
 Executes a `SimGraph` with a flat per-cycle loop instead of the
 per-instruction `EventQueue` events of the dynamic engine.  Each cycle
-is one iteration: drain this cycle's completion bucket (compute commits
-and memory completions, in scheduling order — exactly the order the
-event queue would fire them, since completions carry DEFAULT_PRI and
-the engine tick CPU_TICK_PRI), then run the tick phases in the dynamic
-engine's order (fetch, wake, issue with retry, memory pump, occupancy).
+is one iteration: drain the completions due by this cycle (compute
+commits and memory completions, in the order the event queue fires
+them: DEFAULT_PRI before the engine tick's CPU_TICK_PRI, then
+scheduling order), then run the tick phases in the dynamic engine's
+order (fetch, wake, issue with retry, memory pump, occupancy).
+
+The loop is driven from the event queue like `RuntimeEngine`: `start`
+schedules a CPU_TICK_PRI tick event, and each firing runs cycles ahead
+for as long as `EventQueue.try_advance` finds nothing else due and the
+running ``max_tick`` allows.  When something is due it reschedules the
+tick for the next cycle and suspends (the loop is a generator), so
+every other event fires at its own (tick, priority, sequence) slot and
+simulated time is ``cycle * period`` throughout a cycle.  The final
+tick calls ``on_done``; whatever the memory system still has scheduled
+(writebacks) fires afterwards, as in a dynamic run.
 
 The contract is **byte-identical stats**: every counter, float energy
 accumulation (same addition order, so no float drift), occupancy
 record, and memory image byte matches `RuntimeEngine` for any run the
 graph backend accepts.  Where the dynamic engine consults live objects
-(profile specs, CDFG nodes, memctrl/SPM ports), this loop reads the
-flat arrays `compile_graph` precomputed, and models the memory system's
-timing inline:
+(profile specs, CDFG nodes), this loop reads the flat arrays
+`compile_graph` precomputed.  Memory goes one of two ways:
 
-* memory controller: per-cycle read/write port limits, FIFO queues,
-  stall counting (``stat.inc(len(queue))`` per blocked cycle), reads
-  pumped before writes;
-* scratchpad: per-(cycle, bank) port usage with first-free-slot search,
-  bank-conflict counting, completion at ``slot + latency_cycles`` with
-  the image access performed at completion time;
-* ideal memory: functional access at pump, completion one cycle later,
-  no SPM accounting — matching `AcceleratorMemController.ideal`.
+* **Inline model**, when the unit has a private SPM (``memory="spm"``
+  or ``"ideal"``).  The loop models the memory system's timing itself
+  and never touches the event queue, so a standalone run is one
+  uninterrupted loop inside one tick event:
+
+  - memory controller: per-cycle read/write port limits, FIFO queues,
+    stall counting (``stat.inc(len(queue))`` per blocked cycle), reads
+    pumped before writes;
+  - scratchpad: per-(cycle, bank) port usage with first-free-slot
+    search, bank-conflict counting, completion at ``slot +
+    latency_cycles`` with the image access performed at completion;
+  - ideal memory: functional access at pump, completion one cycle
+    later, no SPM accounting, matching `AcceleratorMemController.ideal`.
+
+* **Port-backed**, otherwise (``memory="cache"``).  Loads and stores go
+  through the real `AcceleratorMemController`: ``enqueue_read`` /
+  ``enqueue_write`` at issue, ``pump()`` in the memory phase, and from
+  there to the cache → DRAM ports.  Ordering rule: register write
+  energy is a float sum in commit order, so compute commits and port
+  completions must interleave exactly as the event queue orders them.
+  A cycle's compute commits therefore become one event per completion
+  cycle, scheduled after the issue phase and before the pump, just
+  where the dynamic engine schedules them.  Those events and the
+  memctrl's completion callbacks only append to a list in firing
+  order; the next tick drains it.
 
 Static disambiguation: the only use of `repro.analysis.memdep` facts is
 a *fast path inside* the conflict scan, applied strictly after the
@@ -32,7 +58,8 @@ overlap arithmetic only when both addresses are resolved AND the
 accesses have distinct root pointer arguments (disjoint staged buffers)
 or the same root with non-overlapping constant offsets (identical to
 the runtime arithmetic by construction).  Conflict outcomes are
-therefore exactly the dynamic engine's.
+therefore exactly the dynamic engine's.  Loads, which only conflict
+with earlier stores, scan a window of outstanding stores alone.
 
 Dynamic instruction instances (the mirror of `DynInst`) are plain
 lists, the cheapest record to allocate and index in CPython:
@@ -46,26 +73,30 @@ Sequence numbers are unique, so the ready heap stores ``(seq, dyn)``
 tuples and never compares the lists themselves.
 
 At run end the scheduler writes its counters back into the *same* stat
-objects (`RuntimeEngine`, memctrl, SPM) so `System.dump_stats()`,
+objects (`RuntimeEngine`, and with the inline model memctrl and SPM;
+port-backed memory counts its own) so `System.dump_stats()`,
 `RunResult`, and the power report are indistinguishable from a dynamic
 run.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import struct
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.runtime import COMMITTED, ISSUED, READY, WAITING, EngineError
 from repro.engine.graph import K_BRANCH, K_COMPUTE, K_LOAD, K_RET, K_STORE, SimGraph
 from repro.ir.semantics import bytes_to_value, value_to_bytes
 from repro.ir.types import FloatType, IntType, PointerType
+from repro.sim.eventq import Event
 
 # Completion-bucket entry tags.
 _EV_COMMIT = 0  # compute commit
 _EV_SPM = 1     # SPM timing completion (image access happens now)
 _EV_IDEAL = 2   # ideal-memory completion (data captured at pump)
+_EV_PORT = 3    # memctrl completion (data and completion cycle captured)
 
 _STRUCT_F = struct.Struct("<f")
 _STRUCT_D = struct.Struct("<d")
@@ -80,39 +111,53 @@ class GraphScheduler:
         self.engine = unit.engine
         self.memctrl = unit.comm.memctrl
         self.spm = spm if spm is not None else unit.private_spm
+        self._cycles = None  # the suspended cycle loop
+        self._tick_event = Event(self.run, priority=Event.CPU_TICK_PRI,
+                                 name=f"{self.engine.name}.tick")
 
     # ------------------------------------------------------------------
-    def run(self, arg_values: list, max_ticks: Optional[int] = None) -> bool:
-        """Simulate to completion.  Returns False if ``max_ticks`` cut
-        the run short (the caller raises the dynamic engine's error).
+    def start(self, arg_values: list,
+              on_done: Optional[Callable[[], None]] = None) -> None:
+        """Launch: the first tick fires on the next clock edge, as in
+        `RuntimeEngine.start`; ``on_done`` runs in the final tick."""
+        engine = self.engine
+        if len(arg_values) != self.graph.arg_count:
+            raise EngineError(
+                f"{engine.name}: expected {self.graph.arg_count} arguments, "
+                f"got {len(arg_values)}"
+            )
+        engine.start_cycle = engine.cur_cycle
+        self._cycles = self._loop(list(arg_values), engine.start_cycle, on_done)
+        engine.schedule_in_cycles(self._tick_event, 1)
+
+    def run(self) -> None:
+        """The tick event: simulate cycles until the kernel finishes or
+        the event queue has something due first (the loop then
+        reschedules this event and suspends).
 
         The hot loop allocates tens of thousands of short-lived,
         acyclic records (dyn lists, operand vectors, bucket entries);
         generation-0 collections are pure overhead on them, so the
-        collector is paused for the duration and restored on exit.
+        collector is paused while the loop runs and restored after.
         """
-        import gc
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(arg_values, max_ticks)
+            next(self._cycles, None)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, arg_values: list, max_ticks: Optional[int] = None) -> bool:
+    def _loop(self, args: list, start_cycle: int,
+              on_done: Optional[Callable[[], None]]):
         g = self.graph
         engine = self.engine
         memctrl = self.memctrl
         spm = self.spm
         config = engine.config
-        if len(arg_values) != g.arg_count:
-            raise EngineError(
-                f"{engine.name}: expected {g.arg_count} arguments, "
-                f"got {len(arg_values)}"
-            )
-        args = list(arg_values)
+        eventq = engine.eventq
+        tick_event = self._tick_event
 
         # -- flat graph arrays, bound to locals for the hot loop --------
         kind = g.kind
@@ -149,17 +194,24 @@ class GraphScheduler:
         ideal_lat = memctrl.ideal_latency_cycles
         mem_read_ports = memctrl.read_ports
         mem_write_ports = memctrl.write_ports
-        image = spm.image
-        spm_lat = spm.latency_cycles
-        spm_read_ports = spm.read_ports
-        spm_write_ports = spm.write_ports
-        spm_bank_of = spm.bank_of
+        # The inline model owns the memory system when the unit has a
+        # private SPM; otherwise every access goes through the memctrl.
+        inline = spm is not None
+        if inline:
+            image = spm.image
+            spm_lat = spm.latency_cycles
+            spm_read_ports = spm.read_ports
+            spm_write_ports = spm.write_ports
+            spm_bank_of = spm.bank_of
+            spm_name = spm.name
+        enqueue_read = memctrl.enqueue_read
+        enqueue_write = memctrl.enqueue_write
         hub = engine._probe
         occupancy = engine.occupancy
-        trace_mem = hub is not None and hub.enabled("mem")
+        trace_mem = inline and hub is not None and hub.enabled("mem")
         memctrl_name = memctrl.name
-        spm_name = spm.name
         engine_name = engine.name
+        commit_name = f"{engine_name}.commit"
 
         # -- operand templates: args never change during a run, so every
         # const and argument operand is bound once here; fetch only has
@@ -242,7 +294,8 @@ class GraphScheduler:
         # fill and drain, and pop order is seq-keyed either way.
         ready: list[tuple[int, list]] = []
         window = 0
-        mem_window: list = []
+        mem_window: list = []    # outstanding memory ops, in seq order
+        store_window: list = []  # its stores: all a load can conflict with
         fetch_queue: list[tuple[int, int]] = [(g.entry_block, -1)]
         fetch_cursor = 0
         inflight_compute = 0
@@ -297,9 +350,14 @@ class GraphScheduler:
         spm_conflicts = 0
 
         # Per-cycle completion buckets: cycle -> [(tag, dyn, payload,
-        # pump_cycle)], appended in scheduling order.
+        # pump_cycle)], appended in scheduling order.  With port-backed
+        # memory a cycle's compute commits instead become one event per
+        # completion cycle, and those events and the memctrl's
+        # completions append to ``arrived`` in the order the event
+        # queue fires them; the next tick drains it.
         buckets: dict[int, list] = {}
         buckets_get = buckets.get
+        arrived: list = []
 
         # Inline occupancy accounting: the same arithmetic (and the
         # same dict-key insertion order) as OccupancyTracker's
@@ -334,7 +392,6 @@ class GraphScheduler:
         fu_energy = engine.fu_energy_pj
         reg_energy = engine.register_energy_pj
 
-        start_cycle = engine.cur_cycle
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -379,12 +436,11 @@ class GraphScheduler:
             is_load = kind[nid] == K_LOAD
             root = mem_root[nid]
             offset = mem_offset[nid]
-            for other in mem_window:
+            # Loads only conflict with earlier stores.
+            for other in store_window if is_load else mem_window:
                 if other[1] >= my_seq:
                     break
                 onid = other[0]
-                if is_load and kind[onid] == K_LOAD:
-                    continue
                 other_addr = other[7]
                 if other_addr is None:
                     return True  # unresolved earlier address: conservative
@@ -521,17 +577,27 @@ class GraphScheduler:
                     else:
                         bucket.append(entry)
 
+        def port_done(dyn: list):
+            # memctrl completion callback: capture data and cycle now,
+            # commit in the next tick's drain.
+            return lambda request: arrived.append(
+                (_EV_PORT, dyn, request.result,
+                 request.complete_tick // period))
+
         # -- the flat cycle loop ----------------------------------------
+        # Simulated time stays at ``cycle * period`` throughout a cycle:
+        # the loop either advances the clock itself (nothing is due
+        # first) or suspends until the tick event fires there.
+        try_advance = eventq.try_advance
         cycle = start_cycle
-        end_cycle = -1
-        completed = False
         while True:
             cycle += 1
-            if max_ticks is not None and cycle * period > max_ticks:
-                break
-            # 1. completions scheduled for this cycle fire before the
-            #    tick (DEFAULT_PRI < CPU_TICK_PRI), in scheduling order.
-            bucket = buckets.pop(cycle, None)
+            # 1. completions due by this cycle fire before the tick
+            #    (DEFAULT_PRI < CPU_TICK_PRI), in scheduling order.
+            if inline:
+                bucket = buckets.pop(cycle, None)
+            else:
+                bucket, arrived = arrived, []
             if bucket:
                 for tag, dyn, payload, pump_cycle in bucket:
                     nid = dyn[0]
@@ -556,18 +622,22 @@ class GraphScheduler:
                                 emit_mem_trace(dyn, pump_cycle, cycle, True)
                             outstanding_writes -= 1
                             mem_window.remove(dyn)
+                            store_window.remove(dyn)
                             commit(dyn, None, cycle)
-                    else:  # _EV_IDEAL
-                        if trace_mem:
-                            emit_mem_trace(dyn, pump_cycle, cycle, False)
+                    else:  # _EV_IDEAL, or _EV_PORT (commit cycle in slot 3)
+                        if tag == _EV_IDEAL:
+                            if trace_mem:
+                                emit_mem_trace(dyn, pump_cycle, cycle, False)
+                            pump_cycle = cycle
                         if kind[nid] == K_LOAD:
                             outstanding_reads -= 1
                             mem_window.remove(dyn)
-                            commit(dyn, decoders[nid](payload), cycle)
+                            commit(dyn, decoders[nid](payload), pump_cycle)
                         else:
                             outstanding_writes -= 1
                             mem_window.remove(dyn)
-                            commit(dyn, None, cycle)
+                            store_window.remove(dyn)
+                            commit(dyn, None, pump_cycle)
 
             # 2. the tick, phase for phase as RuntimeEngine._tick.
             n_cycles += 1
@@ -616,6 +686,8 @@ class GraphScheduler:
                         if value is not None:
                             dyn[7] = value
                         mem_window.append(dyn)
+                        if kind[nid] == K_STORE:
+                            store_window.append(dyn)
                     if produces_value[nid]:
                         previous = last_inst[nid]
                         if previous is not None and previous[2] != COMMITTED:
@@ -653,7 +725,10 @@ class GraphScheduler:
                     outstanding_reads += 1
                     n_loads += 1
                     issued_kinds.add("load")
-                    read_queue.append(dyn)
+                    if inline:
+                        read_queue.append(dyn)
+                    else:
+                        enqueue_read(dyn[7], mem_size[nid], port_done(dyn))
                 elif nkind == K_STORE:
                     if dyn[7] is None:
                         dyn[7] = dyn[5][1]
@@ -667,7 +742,10 @@ class GraphScheduler:
                     n_stores += 1
                     issued_kinds.add("store")
                     dyn[8] = encoders[nid](dyn[5][0])
-                    write_queue.append(dyn)
+                    if inline:
+                        write_queue.append(dyn)
+                    else:
+                        enqueue_write(dyn[7], dyn[8], port_done(dyn))
                 else:
                     is_compute = nkind == K_COMPUTE
                     if is_compute and not fu_acquire(nid, cycle):
@@ -712,8 +790,19 @@ class GraphScheduler:
             for dyn in retry:
                 heappush(ready, (dyn[1], dyn))
 
-            if read_queue or write_queue:
-                pump_memory(cycle)
+            if inline:
+                if read_queue or write_queue:
+                    pump_memory(cycle)
+            else:
+                # Before the pump, as the dynamic engine schedules its
+                # commits at issue: same-tick order against memory
+                # events is then scheduling order.
+                for done, batch in buckets.items():
+                    eventq.schedule_callback(
+                        lambda batch=batch: arrived.extend(batch),
+                        done * period, name=commit_name)
+                buckets.clear()
+                memctrl.pump()
 
             obit = ((1 if outstanding_reads else 0)
                     | (2 if outstanding_writes else 0)
@@ -767,9 +856,11 @@ class GraphScheduler:
                     and not fetch_queue and window == 0
                     and inflight_compute == 0 and outstanding_reads == 0
                     and outstanding_writes == 0):
-                end_cycle = cycle
-                completed = True
                 break
+            when = (cycle + 1) * period
+            if not try_advance(when):
+                eventq.schedule(tick_event, when)
+                yield
 
         # -- write-back: same stat objects, same final values -----------
         engine.stat_cycles.inc(n_cycles)
@@ -806,22 +897,16 @@ class GraphScheduler:
         engine.committed += n_committed
         engine.fu_energy_pj = fu_energy
         engine.register_energy_pj = reg_energy
-        engine.start_cycle = start_cycle
-        engine.end_cycle = end_cycle if completed else -1
-        memctrl.stat_reads.inc(m_reads)
-        memctrl.stat_writes.inc(m_writes)
-        memctrl.stat_bytes.inc(m_bytes)
-        memctrl.stat_read_stalls.inc(stall_reads)
-        memctrl.stat_write_stalls.inc(stall_writes)
-        if not ideal:
-            spm.stat_reads.inc(spm_reads)
-            spm.stat_writes.inc(spm_writes)
-            spm.stat_conflicts.inc(spm_conflicts)
-        # Advance simulated time to where the dynamic engine would end,
-        # so downstream consumers (irq trace ticks, system.cur_tick) see
-        # the same clock.
-        final_tick = end_cycle * period if completed else max_ticks
-        eventq = engine.eventq
-        if final_tick is not None and final_tick > eventq.cur_tick:
-            eventq._cur_tick = final_tick
-        return completed
+        engine.end_cycle = cycle
+        if inline:
+            memctrl.stat_reads.inc(m_reads)
+            memctrl.stat_writes.inc(m_writes)
+            memctrl.stat_bytes.inc(m_bytes)
+            memctrl.stat_read_stalls.inc(stall_reads)
+            memctrl.stat_write_stalls.inc(stall_writes)
+            if not ideal:
+                spm.stat_reads.inc(spm_reads)
+                spm.stat_writes.inc(spm_writes)
+                spm.stat_conflicts.inc(spm_conflicts)
+        if on_done is not None:
+            on_done()

@@ -136,14 +136,21 @@ class AcceleratorMemController(SimObject):
             # resumes on its own; an unbounded one is a livelock for
             # the watchdog to diagnose.
             return
-        self._issue(self.read_queue, 0, self.read_ports, self.stat_read_stalls)
-        self._issue(self.write_queue, 1, self.write_ports, self.stat_write_stalls)
+        # At most one retry per call: a retry per refused queue would
+        # double the pending retries every cycle while both are refused.
+        refused = self._issue(self.read_queue, 0, self.read_ports,
+                              self.stat_read_stalls, False)
+        self._issue(self.write_queue, 1, self.write_ports,
+                    self.stat_write_stalls, refused)
 
-    def _issue(self, queue: deque, slot: int, limit: int, stall_stat) -> None:
+    def _issue(self, queue: deque, slot: int, limit: int, stall_stat,
+               retry_pending: bool) -> bool:
+        """Issue from ``queue``; True when the memory refused a request
+        (a retry pump is then scheduled unless ``retry_pending``)."""
         while queue:
             if not self.ideal and self._issued_this_cycle[slot] >= limit:
                 stall_stat.inc(len(queue))
-                return
+                return False
             request = queue.popleft()
             if self._probe is not None and self._probe.drop_request(self, request):
                 # Injected lost transaction: the request vanishes and its
@@ -172,9 +179,12 @@ class AcceleratorMemController(SimObject):
                 request.issued = False
                 self._issued_this_cycle[slot] -= 1
                 queue.appendleft(request)
-                self.schedule_callback_in_cycles(self.pump, 1, name=f"{self.name}.pump")
-                return
+                if not retry_pending:
+                    self.schedule_callback_in_cycles(
+                        self.pump, 1, name=f"{self.name}.pump")
+                return True
             self._inflight[pkt.pkt_id] = request
+        return False
 
     def _complete_ideal(self, request: MemRequest) -> None:
         # Ideal memory: functional access against whichever route matches,

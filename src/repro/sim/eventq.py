@@ -97,6 +97,9 @@ class EventQueue:
         self._exit_requested = False
         self._exit_message = ""
         self._events_fired = 0
+        # ``max_tick`` of the latest run(): a callback running ahead
+        # (see try_advance) must not pass it.
+        self._limit: Optional[int] = None
         # Optional observer called as hook(event, tick) just before each
         # event fires (wired by System.attach_probe).  One attribute
         # compare per event when unset.
@@ -171,6 +174,30 @@ class EventQueue:
         self._drop_squashed()
         return self._heap[0][0] if self._heap else None
 
+    def try_advance(self, tick: int) -> bool:
+        """Move the clock forward to ``tick`` without firing anything.
+
+        For a callback that runs ahead of the queue (the graph
+        scheduler's cycle loop): the move succeeds only when no live
+        event is due at or before ``tick`` and the running ``max_tick``
+        allows it.  On False the caller schedules an event at ``tick``
+        instead and returns, so everything due first fires in its usual
+        (tick, priority, sequence) order.
+        """
+        if tick < self._cur_tick:
+            raise SimulationError(
+                f"cannot advance to tick {tick} in the past "
+                f"(now={self._cur_tick})"
+            )
+        if self._heap:
+            self._drop_squashed()
+            if self._heap and self._heap[0][0] <= tick:
+                return False
+        if self._limit is not None and tick > self._limit:
+            return False
+        self._cur_tick = tick
+        return True
+
     def exit_simulation(self, message: str = "") -> None:
         """Request that :meth:`run` return after the current event."""
         self._exit_requested = True
@@ -191,6 +218,7 @@ class EventQueue:
         empties and may do the same for drain-while-running deadlocks.
         """
         self._exit_requested = False
+        self._limit = max_tick
         fired = 0
         check_every = 0
         if watchdog is not None:
@@ -230,3 +258,4 @@ class EventQueue:
         self._exit_requested = False
         self._exit_message = ""
         self._events_fired = 0
+        self._limit = None

@@ -260,15 +260,17 @@ class StandaloneAccelerator:
                 chosen, reason = "dynamic", f"lowering failed: {exc}"
         self.engine_used = chosen
         self.fallback_reason = reason
+        done = {"flag": False}
+
+        def on_done():
+            done["flag"] = True
+
         if chosen == "graph":
-            completed = self.unit.launch_compiled(graph, args,
-                                                  max_ticks=max_ticks)
+            self.unit.launch_compiled(graph, args, on_done=on_done)
         else:
-            done = {"flag": False}
-            self.unit.launch(args, on_done=lambda: done.update(flag=True))
-            self.system.run(max_tick=max_ticks, watchdog=watchdog)
-            completed = done["flag"]
-        if not completed:
+            self.unit.launch(args, on_done=on_done)
+        self.system.run(max_tick=max_ticks, watchdog=watchdog)
+        if not done["flag"]:
             raise RuntimeError(
                 f"{self.func_name}: simulation ended before kernel "
                 f"completion"

@@ -24,11 +24,15 @@ def _context(name, engine, unroll=1, **kwargs):
 
 
 def _run_pair(name, unroll=1, **kwargs):
-    dynamic = _context(name, "dynamic", unroll, **kwargs).run()
+    dynamic_ctx = _context(name, "dynamic", unroll, **kwargs)
+    dynamic = dynamic_ctx.run()
     ctx = _context(name, "graph", unroll, **kwargs)
     graph = ctx.run()
     assert ctx.engine_used == "graph", (
         f"graph request fell back: {ctx.fallback_reason}")
+    # Simulated time ends at the same tick, trailing memory events included.
+    assert (ctx.accelerator.system.cur_tick
+            == dynamic_ctx.accelerator.system.cur_tick)
     return dynamic, graph
 
 
@@ -40,6 +44,47 @@ def test_graph_matches_dynamic_byte_identical(name, unroll):
     # json.dumps preserves dict insertion order, so this asserts byte
     # identity of the serialized results, not just value equality.
     assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+
+
+# -- port-backed memory: memctrl -> cache -> DRAM -----------------------
+@pytest.mark.parametrize("unroll", [1, 4])
+@pytest.mark.parametrize("name", all_workload_names())
+def test_graph_matches_dynamic_cache_memory(name, unroll):
+    dynamic, graph = _run_pair(name, unroll, memory="cache")
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+
+
+def _fig13_cache_point(fus, ports):
+    """A Fig. 13 GEMM design point on the cache/DRAM memory."""
+    from repro.core.config import DeviceConfig
+
+    return dict(
+        config=DeviceConfig(read_ports=ports, write_ports=max(1, ports // 2),
+                            fu_limits={"fp_add": fus, "fp_mul": fus}),
+        memory="cache",
+        cache_kwargs=dict(size=4096, line_size=64, assoc=4),
+    )
+
+
+@pytest.mark.parametrize("ports", [1, 16])
+@pytest.mark.parametrize("fus", [2, 32])
+def test_graph_matches_dynamic_fig13_cache_corners(fus, ports):
+    dynamic, graph = _run_pair("gemm_dse", 8, **_fig13_cache_point(fus, ports))
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+
+
+def test_cut_short_cache_run_raises_the_same_error():
+    errors = {}
+    for engine in ("dynamic", "graph"):
+        # Mid-run (the kernel takes 1509 cycles of 10,000 ticks).
+        ctx = _context("gemm_dse", engine, 2, memory="cache",
+                       max_ticks=5_000_000)
+        with pytest.raises(RuntimeError) as info:
+            ctx.run()
+        assert ctx.engine_used == engine
+        errors[engine] = (str(info.value), ctx.accelerator.system.cur_tick)
+    assert errors["graph"] == errors["dynamic"]
+    assert "before kernel completion" in errors["graph"][0]
 
 
 @pytest.mark.parametrize("name", ["gemm", "spmv"])
@@ -119,3 +164,17 @@ def test_traced_default_run_matches_traced_dynamic_run():
     assert json.dumps(graph_dict) == json.dumps(dynamic_dict)
     assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
     assert graph_counts == dynamic_counts
+
+
+def test_traced_cache_run_matches_traced_dynamic_run():
+    graph_ctx = _context("gemm", "graph", 4, memory="cache", trace=True)
+    graph = graph_ctx.run()
+    assert graph_ctx.engine_used == "graph"
+    dynamic = _context("gemm", "dynamic", 4, memory="cache", trace=True).run()
+    graph_dict, dynamic_dict = graph.to_dict(), dynamic.to_dict()
+    graph_counts = graph_dict.pop("trace_summary")["emitted"]
+    dynamic_counts = dynamic_dict.pop("trace_summary")["emitted"]
+    assert json.dumps(graph_dict) == json.dumps(dynamic_dict)
+    assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
+    assert graph_counts == dynamic_counts
+    assert graph_counts["mem"] > 0

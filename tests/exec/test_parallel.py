@@ -99,12 +99,18 @@ def test_cached_parallel_sweep_records_match_serial():
 
 
 def test_sweep_records_graph_and_memory_fallback_per_point():
-    points = ParallelSweep().run(get_workload("gemm_dse"),
+    workload = get_workload("gemm_dse")
+    points = ParallelSweep().run(workload,
                                  {"memory": ["spm", "cache"], "unroll": [1]},
                                  _configure, seed=7)
     assert [(p.engine_used, p.fallback_reason) for p in points] == [
         ("graph", ""),
-        ("dynamic", "memory='cache' is not graph-modelled"),
+        ("graph", ""),
+    ]
+    watched = ParallelSweep(watchdog=True).run(
+        workload, HALF_GRID, _configure, seed=7)
+    assert [(p.engine_used, p.fallback_reason) for p in watched] == [
+        ("dynamic", "watchdog attached"),
     ]
 
 

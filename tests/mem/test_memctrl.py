@@ -83,3 +83,33 @@ def test_outstanding_accounting(system):
     assert ctrl.outstanding == 1  # now in flight
     system.run()
     assert ctrl.outstanding == 0
+
+
+def test_refused_pump_schedules_one_retry(system):
+    # A refused read and a refused write in one pump() share a single
+    # retry; one retry each doubled the pending retries every cycle.
+    from repro.sim.ports import SlavePort
+
+    ctrl = AcceleratorMemController("ctrl", system)
+    busy = SlavePort("busy", recv_timing_req=lambda pkt: False)
+    ctrl.add_route(AddrRange(0x1000, 4096)).bind(busy)
+    ctrl.enqueue_read(0x1000, 8, on_complete=lambda r: None)
+    ctrl.enqueue_write(0x1008, b"\0" * 8, on_complete=lambda r: None)
+    ctrl.pump()
+    system.run(max_tick=system.clock.cycles_to_ticks(10))
+    assert system.eventq.events_fired == 10  # one retry pump per cycle
+    assert len(ctrl.read_queue) == len(ctrl.write_queue) == 1
+
+
+def test_nw_on_cache_memory_finishes():
+    # nw refuses both queues at once on a full MSHR table; before the
+    # one-retry rule its event queue grew without bound at cycle ~170.
+    from repro.exec.context import SimContext
+    from repro.workloads import get_workload
+
+    ctx = SimContext(get_workload("nw"), seed=7, memory="cache")
+    acc = ctx.build()
+    done = []
+    acc.unit.launch(ctx.stage(), on_done=lambda: done.append(True))
+    assert acc.system.run(max_events=400_000) == "empty"
+    assert done and acc.unit.engine.total_cycles == 16787

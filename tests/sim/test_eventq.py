@@ -206,3 +206,38 @@ def test_next_tick_skips_squashed_head():
     eq.schedule_callback(lambda: None, 9)
     eq.deschedule(early)
     assert eq.next_tick() == 9
+
+
+def test_try_advance_moves_clock_when_nothing_is_due():
+    q = EventQueue()
+    assert q.try_advance(500)
+    assert q.cur_tick == 500
+    assert q.events_fired == 0
+
+
+def test_try_advance_refuses_to_pass_a_due_event():
+    q = EventQueue()
+    q.schedule_callback(lambda: None, 300)
+    assert not q.try_advance(300)  # due at the target tick: fire it first
+    assert not q.try_advance(400)
+    assert q.cur_tick == 0
+    assert q.try_advance(299)
+
+
+def test_try_advance_respects_the_running_max_tick():
+    q = EventQueue()
+    outcome = []
+
+    def run_ahead():
+        outcome.append((q.try_advance(1000), q.try_advance(1001)))
+
+    q.schedule_callback(run_ahead, 10)
+    assert q.run(max_tick=1000) == "empty"
+    assert outcome == [(True, False)]
+
+
+def test_try_advance_rejects_the_past():
+    q = EventQueue()
+    q.try_advance(100)
+    with pytest.raises(SimulationError):
+        q.try_advance(50)

@@ -82,10 +82,10 @@ def test_run_workload(capsys):
 
 
 def test_run_reports_event_queue_fallback(capsys):
-    assert main(["run", "gemm_dse", "--memory", "cache"]) == 0
+    assert main(["run", "gemm_dse", "--sanitize"]) == 0
     out = capsys.readouterr().out
-    assert ("engine          : dynamic (fallback: memory='cache' is not "
-            "graph-modelled)\n") in out
+    assert ("engine          : dynamic (fallback: access sanitizer "
+            "attached)\n") in out
 
 
 def test_sweep(capsys):
