@@ -76,6 +76,37 @@ class EngineError(RuntimeError):
     instruction, launch protocol violation)."""
 
 
+_STATE_NAMES = {WAITING: "waiting", READY: "ready", ISSUED: "issued"}
+
+
+def inflight_line(name: str, window: int, reads: int, writes: int,
+                  compute: int, committed: int, cycle: int) -> str:
+    """The one-line hang-report snapshot of an engine's in-flight state."""
+    return (f"{name}: window={window} reads={reads} writes={writes} "
+            f"compute={compute} committed={committed} cycle={cycle}")
+
+
+def inflight_lines(entries, limit: int = 32) -> list[str]:
+    """Hang-report lines for ``(label, seq, opcode, state, pending,
+    addr)`` records: committed and already-listed instructions are
+    skipped, and the dump stops after ``limit`` lines."""
+    lines: list[str] = []
+    seen: set[int] = set()
+    for label, seq, opcode, state, pending, addr in entries:
+        if seq in seen or state == COMMITTED:
+            continue
+        seen.add(seq)
+        where = f" addr={addr:#x}" if addr is not None else ""
+        lines.append(
+            f"#{seq} {opcode} [{_STATE_NAMES.get(state, f's{state}')}/"
+            f"{label}] pending={pending}{where}"
+        )
+        if len(lines) >= limit:
+            lines.append("... (dump truncated)")
+            break
+    return lines
+
+
 class DynInst:
     """A dynamic instance of a static CDFG node."""
 
@@ -206,10 +237,10 @@ class RuntimeEngine(SimObject):
         self.memctrl = memctrl
         self.trace = trace
         self.occupancy = OccupancyTracker()
-        # Optional per-cycle instruction log (attach via
-        # repro.core.debug.attach_trace); None costs one compare per
-        # issue/commit.
-        self.pipeline_trace = None
+        # The `GraphScheduler` running this engine's kernel, if any: it
+        # keeps ``running`` and ``committed`` current, and hang reports
+        # describe its state instead of this engine's.
+        self.driver = None
 
         self._seq = 0
         self._args: dict[Argument, object] = {}
@@ -234,7 +265,7 @@ class RuntimeEngine(SimObject):
         self._outstanding_reads = 0
         self._outstanding_writes = 0
         self._ret_seen = False
-        self._running = False
+        self.running = False
         self._tick_event: Optional[Event] = None
         self._on_done: Optional[Callable[[], None]] = None
         self.start_cycle = -1
@@ -258,7 +289,7 @@ class RuntimeEngine(SimObject):
     # ------------------------------------------------------------------
     def start(self, arg_values: list, on_done: Optional[Callable[[], None]] = None) -> None:
         """Begin execution of the accelerated function."""
-        if self._running:
+        if self.running:
             raise EngineError(f"{self.name}: already running")
         func = self.iface.func
         if len(arg_values) != len(func.args):
@@ -267,15 +298,11 @@ class RuntimeEngine(SimObject):
             )
         self._args = dict(zip(func.args, arg_values))
         self._on_done = on_done
-        self._running = True
+        self.running = True
         self._ret_seen = False
         self.start_cycle = self.cur_cycle
         self._fetch_queue.append((func.entry, None))
         self._schedule_tick()
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     @property
     def total_cycles(self) -> int:
@@ -292,47 +319,31 @@ class RuntimeEngine(SimObject):
     # ------------------------------------------------------------------
     def inflight_summary(self) -> str:
         """One-line progress snapshot of the engine's in-flight state."""
-        return (
-            f"{self.name}: window={self._window} "
-            f"reads={self._outstanding_reads} writes={self._outstanding_writes} "
-            f"compute={self._inflight_compute} committed={self.committed} "
-            f"cycle={self.cur_cycle}"
-        )
+        if self.driver is not None:
+            return self.driver.inflight_summary()
+        return inflight_line(
+            self.name, self._window, self._outstanding_reads,
+            self._outstanding_writes, self._inflight_compute, self.committed,
+            self.cur_cycle)
 
     def inflight_dump(self, limit: int = 32) -> list[str]:
         """Human-readable lines for every not-yet-committed instruction.
 
         Covers the ready heap, the fetch/wake staging lists, and the
         memory window — the queues a hang report needs to explain *what*
-        the engine was waiting on.  If a `PipelineTrace` is attached its
-        most recent records are appended for scheduling history.
+        the engine was waiting on.
         """
-        state_names = {WAITING: "waiting", READY: "ready", ISSUED: "issued"}
-        lines: list[str] = []
-        seen: set[int] = set()
-        for label, group in (("ready", self._ready), ("staged", self._staged),
-                             ("wake", self._wake), ("mem", self._mem_window)):
-            for dyn in group:
-                if dyn.seq in seen or dyn.state == COMMITTED:
-                    continue
-                seen.add(dyn.seq)
-                where = f" addr={dyn.addr:#x}" if dyn.addr is not None else ""
-                state = state_names.get(dyn.state, f"s{dyn.state}")
-                lines.append(
-                    f"#{dyn.seq} {dyn.node.inst.opcode} "
-                    f"[{state}/{label}] pending={dyn.pending}{where}"
-                )
-                if len(lines) >= limit:
-                    lines.append("... (dump truncated)")
-                    return lines
-        if self.pipeline_trace is not None and self.pipeline_trace.events:
-            lines.append("recent pipeline events:")
-            for event in self.pipeline_trace.events[-8:]:
-                lines.append(
-                    f"cycle {event.cycle} {event.kind} #{event.seq} "
-                    f"{event.opcode} {event.detail}".rstrip()
-                )
-        return lines
+        if self.driver is not None:
+            return self.driver.inflight_dump(limit)
+        return inflight_lines(
+            ((label, dyn.seq, dyn.node.inst.opcode, dyn.state, dyn.pending,
+              dyn.addr)
+             for label, group in (("ready", self._ready),
+                                  ("staged", self._staged),
+                                  ("wake", self._wake),
+                                  ("mem", self._mem_window))
+             for dyn in group),
+            limit)
 
     def _schedule_tick(self) -> None:
         if self._tick_event is not None and self._tick_event.scheduled():
@@ -518,7 +529,7 @@ class RuntimeEngine(SimObject):
 
     def _complete(self) -> None:
         self.end_cycle = self.cur_cycle
-        self._running = False
+        self.running = False
         self._mem_window.clear()
         if self._on_done is not None:
             done, self._on_done = self._on_done, None
@@ -542,8 +553,6 @@ class RuntimeEngine(SimObject):
         dyn.state = ISSUED
         dyn.issue_cycle = cycle
         self._window -= 1
-        if self.pipeline_trace is not None:
-            self._trace_issue(dyn)
 
         if node.is_compute:
             spec = self.iface.profile.spec_for(node.fu_class)
@@ -585,8 +594,8 @@ class RuntimeEngine(SimObject):
         dyn.result = result
         dyn.commit_cycle = self.cur_cycle
         self.committed += 1
-        if self.pipeline_trace is not None or self._probe is not None:
-            self._trace_commit(dyn, result)
+        if self._probe is not None:
+            self._trace_commit(dyn)
         if dyn.node.result_bits:
             self.register_energy_pj += (
                 dyn.node.result_bits * self.iface.profile.register.write_energy_pj_per_bit
@@ -605,33 +614,20 @@ class RuntimeEngine(SimObject):
         dyn.dependents.clear()
 
     # ------------------------------------------------------------------
-    # Tracing (pipeline log + bus; both optional, both cycle-neutral)
+    # Tracing (the bus's ``compute`` channel; cycle-neutral)
     # ------------------------------------------------------------------
-    def _trace_issue(self, dyn: DynInst) -> None:
-        detail = f"addr={dyn.addr:#x}" if dyn.addr is not None else ""
-        self.pipeline_trace.record(
-            dyn.issue_cycle, "issue", dyn.seq, dyn.node.inst.opcode, detail
+    def _trace_commit(self, dyn: DynInst) -> None:
+        # One span per dynamic instruction, issue edge -> commit edge.
+        period = self.clock.period
+        args = {"seq": dyn.seq}
+        if dyn.addr is not None:
+            args["addr"] = dyn.addr
+        self._probe.emit(
+            "compute", self.name, dyn.node.inst.opcode,
+            dyn.issue_cycle * period,
+            dur=(dyn.commit_cycle - dyn.issue_cycle) * period,
+            args=args,
         )
-
-    def _trace_commit(self, dyn: DynInst, result) -> None:
-        if self.pipeline_trace is not None:
-            self.pipeline_trace.record(
-                dyn.commit_cycle, "commit", dyn.seq, dyn.node.inst.opcode,
-                "" if result is None else f"-> {result!r}"[:40],
-            )
-        probe = self._probe
-        if probe is not None:
-            # One span per dynamic instruction, issue edge -> commit edge.
-            period = self.clock.period
-            args = {"seq": dyn.seq}
-            if dyn.addr is not None:
-                args["addr"] = dyn.addr
-            probe.emit(
-                "compute", self.name, dyn.node.inst.opcode,
-                dyn.issue_cycle * period,
-                dur=(dyn.commit_cycle - dyn.issue_cycle) * period,
-                args=args,
-            )
 
     def _register_read_energy(self, inst: Instruction) -> None:
         bits = 0
@@ -733,8 +729,6 @@ class RuntimeEngine(SimObject):
         dyn.state = ISSUED
         dyn.issue_cycle = self.cur_cycle
         self._window -= 1
-        if self.pipeline_trace is not None:
-            self._trace_issue(dyn)
         self._outstanding_reads += 1
         self.stat_loads.inc()
         issued_kinds.add("load")
@@ -762,8 +756,6 @@ class RuntimeEngine(SimObject):
         dyn.state = ISSUED
         dyn.issue_cycle = self.cur_cycle
         self._window -= 1
-        if self.pipeline_trace is not None:
-            self._trace_issue(dyn)
         self._outstanding_writes += 1
         self.stat_stores.inc()
         issued_kinds.add("store")

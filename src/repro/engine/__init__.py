@@ -9,11 +9,12 @@ the dynamic `RuntimeEngine` — see DESIGN.md, "Graph-compiled engine".
 The graph engine is the default, on every memory configuration: the
 scheduler models private-SPM and ideal memory inline and drives any
 other memory (cache + DRAM) through the real memctrl ports, from a
-tick event on the system's event queue.  `resolve_engine` implements
-the documented fallback rules: a graph run silently moves to the
-dynamic event-queue engine whenever a feature the graph backend does
-not model is active (an instrumentation-bus observer that declares a
-fallback reason, watchdogs, pipeline traces, strictly-ordered regions).
+tick event on the system's event queue, and it honours the run's
+watchdog itself.  `resolve_engine` implements the documented fallback
+rules: a graph run silently moves to the dynamic event-queue engine
+whenever a feature the graph backend does not model is active (an
+instrumentation-bus observer that declares a fallback reason — fault
+injection, the access sanitizer — or strictly-ordered regions).
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from repro.engine.scheduler import GraphScheduler
 ENGINES = ("dynamic", "graph")
 
 
-def resolve_engine(requested: str, acc,
-                   watchdog=None) -> tuple[str, Optional[str]]:
+def resolve_engine(requested: str, acc) -> tuple[str, Optional[str]]:
     """Pick the engine that will actually run.
 
     ``acc`` is a `StandaloneAccelerator`, which has already checked
@@ -45,13 +45,9 @@ def resolve_engine(requested: str, acc,
     """
     if requested == "dynamic":
         return "dynamic", None
-    if watchdog is not None:
-        return "dynamic", "watchdog attached"
     for observer in acc.system.observers:
         if observer.fallback_reason is not None:
             return "dynamic", observer.fallback_reason
-    if acc.unit.engine.pipeline_trace is not None:
-        return "dynamic", "pipeline trace attached"
     if acc.unit.comm.memctrl.strict_ranges:
         return "dynamic", "strictly-ordered memory regions"
     return "graph", None

@@ -18,6 +18,14 @@ simulated time is ``cycle * period`` throughout a cycle.  The final
 tick calls ``on_done``; whatever the memory system still has scheduled
 (writebacks) fires afterwards, as in a dynamic run.
 
+A watched run stays on this loop.  While it runs, the driven
+`RuntimeEngine` reports ``running`` and names the scheduler as its
+``driver``; ``committed`` is published at every suspension and before
+every check.  The loop calls the run's watchdog (`EventQueue.watchdog`)
+every ``interval`` cycles, because an inline-memory run is a single
+event and `EventQueue.run` only checks between events.  Hang reports
+list the ready heap and the memory window in the engine's format.
+
 The contract is **byte-identical stats**: every counter, float energy
 accumulation (same addition order, so no float drift), occupancy
 record, and memory image byte matches `RuntimeEngine` for any run the
@@ -84,9 +92,18 @@ from __future__ import annotations
 import gc
 import heapq
 import struct
+import sys
 from typing import Callable, Optional
 
-from repro.core.runtime import COMMITTED, ISSUED, READY, WAITING, EngineError
+from repro.core.runtime import (
+    COMMITTED,
+    ISSUED,
+    READY,
+    WAITING,
+    EngineError,
+    inflight_line,
+    inflight_lines,
+)
 from repro.engine.graph import K_BRANCH, K_COMPUTE, K_LOAD, K_RET, K_STORE, SimGraph
 from repro.ir.semantics import bytes_to_value, value_to_bytes
 from repro.ir.types import FloatType, IntType, PointerType
@@ -101,6 +118,8 @@ _EV_PORT = 3    # memctrl completion (data and completion cycle captured)
 _STRUCT_F = struct.Struct("<f")
 _STRUCT_D = struct.Struct("<d")
 
+_NEVER = sys.maxsize  # the next-check cycle of an unwatched run
+
 
 class GraphScheduler:
     """Executes one kernel invocation over a compiled `SimGraph`."""
@@ -114,6 +133,11 @@ class GraphScheduler:
         self._cycles = None  # the suspended cycle loop
         self._tick_event = Event(self.run, priority=Event.CPU_TICK_PRI,
                                  name=f"{self.engine.name}.tick")
+        # Hang-report view of the loop, refreshed at every watchdog
+        # check and every suspension (see _publish).
+        self._ready: list = []
+        self._mem_window: list = []
+        self._counts = (0, 0, 0, 0)  # window, reads, writes, compute
 
     # ------------------------------------------------------------------
     def start(self, arg_values: list,
@@ -127,6 +151,8 @@ class GraphScheduler:
                 f"got {len(arg_values)}"
             )
         engine.start_cycle = engine.cur_cycle
+        engine.running = True
+        engine.driver = self
         self._cycles = self._loop(list(arg_values), engine.start_cycle, on_done)
         engine.schedule_in_cycles(self._tick_event, 1)
 
@@ -148,6 +174,34 @@ class GraphScheduler:
         finally:
             if gc_was_enabled:
                 gc.enable()
+
+    # -- hang diagnosis (through RuntimeEngine.inflight_*) ---------------
+    def _publish(self, committed: int, window: int, reads: int, writes: int,
+                 compute: int) -> None:
+        """Make the loop's progress visible to a watchdog check."""
+        self.engine.committed = committed
+        self._counts = (window, reads, writes, compute)
+
+    def inflight_summary(self) -> str:
+        engine = self.engine
+        return inflight_line(engine.name, *self._counts, engine.committed,
+                             engine.cur_cycle)
+
+    def inflight_dump(self, limit: int = 32) -> list[str]:
+        insts = self.graph.insts
+        return inflight_lines(
+            ((label, dyn[1], insts[dyn[0]].opcode, dyn[2], dyn[3], dyn[7])
+             for label, group in (("ready", [dyn for __, dyn in self._ready]),
+                                  ("mem", self._mem_window))
+             for dyn in group),
+            limit)
+
+    @staticmethod
+    def _next_check(watchdog, cycle: int) -> int:
+        """Cycle of the next watchdog check after ``cycle``."""
+        if watchdog is None:
+            return _NEVER
+        return cycle + max(1, int(getattr(watchdog, "interval", 256)))
 
     def _loop(self, args: list, start_cycle: int,
               on_done: Optional[Callable[[], None]]):
@@ -296,6 +350,7 @@ class GraphScheduler:
         window = 0
         mem_window: list = []    # outstanding memory ops, in seq order
         store_window: list = []  # its stores: all a load can conflict with
+        self._ready, self._mem_window = ready, mem_window
         fetch_queue: list[tuple[int, int]] = [(g.entry_block, -1)]
         fetch_cursor = 0
         inflight_compute = 0
@@ -389,6 +444,7 @@ class GraphScheduler:
         n_loads = 0
         n_stores = 0
         n_committed = 0
+        committed_base = engine.committed
         fu_energy = engine.fu_energy_pj
         reg_energy = engine.register_energy_pj
 
@@ -587,9 +643,15 @@ class GraphScheduler:
         # -- the flat cycle loop ----------------------------------------
         # Simulated time stays at ``cycle * period`` throughout a cycle:
         # the loop either advances the clock itself (nothing is due
-        # first) or suspends until the tick event fires there.
+        # first) or suspends until the tick event fires there.  The run's
+        # watchdog is checked every ``interval`` cycles from here, since
+        # a run-ahead stretch is one event to the queue.
         try_advance = eventq.try_advance
+        next_check = self._next_check
+        publish = self._publish
         cycle = start_cycle
+        watchdog = eventq.watchdog
+        check_at = next_check(watchdog, cycle)
         while True:
             cycle += 1
             # 1. completions due by this cycle fire before the tick
@@ -857,10 +919,22 @@ class GraphScheduler:
                     and inflight_compute == 0 and outstanding_reads == 0
                     and outstanding_writes == 0):
                 break
+            if cycle >= check_at:
+                check_at = next_check(watchdog, cycle)
+                publish(committed_base + n_committed, window,
+                        outstanding_reads, outstanding_writes,
+                        inflight_compute)
+                watchdog.check(eventq)
             when = (cycle + 1) * period
             if not try_advance(when):
+                publish(committed_base + n_committed, window,
+                        outstanding_reads, outstanding_writes,
+                        inflight_compute)
                 eventq.schedule(tick_event, when)
                 yield
+                if eventq.watchdog is not watchdog:
+                    watchdog = eventq.watchdog
+                    check_at = next_check(watchdog, cycle)
 
         # -- write-back: same stat objects, same final values -----------
         engine.stat_cycles.inc(n_cycles)
@@ -894,10 +968,12 @@ class GraphScheduler:
         for fs, value in occ_stall_sources.items():
             merge[fs] = merge.get(fs, 0) + value
         occupancy.idle_cycles += occ_idle_cycles
-        engine.committed += n_committed
+        engine.committed = committed_base + n_committed
         engine.fu_energy_pj = fu_energy
         engine.register_energy_pj = reg_energy
         engine.end_cycle = cycle
+        engine.running = False
+        engine.driver = None
         if inline:
             memctrl.stat_reads.inc(m_reads)
             memctrl.stat_writes.inc(m_writes)

@@ -24,7 +24,13 @@ import numpy as np
 from repro.build.artifact import Artifact
 from repro.build.store import ArtifactStore
 from repro.exec.cache import RunCache, run_cache_key
-from repro.faults import FaultInjector, FaultPlan, SimWatchdog, coerce_watchdog
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    SimWatchdog,
+    coerce_watchdog,
+    watchdog_spec,
+)
 from repro.ir.module import Module
 from repro.passes.pipeline import PipelineSpec
 from repro.sim.sanitizer import AccessSanitizer
@@ -291,17 +297,18 @@ class SimContext:
         return result
 
     def _make_watchdog(self, system: System) -> Optional[SimWatchdog]:
-        """Resolve the watchdog spec against the built system.
+        """A fresh watchdog for this run, bound to the built system.
 
-        ``timeout_s`` alone gets a wall-clock-only watchdog (no livelock
-        budget); combined with an explicit watchdog it sets/overrides
-        the wall-clock deadline on it.
+        A caller's `SimWatchdog` instance is read as a spec and never
+        modified, so reusing it (after `reset()` or in another context)
+        watches the current system's engines.  ``timeout_s`` alone gets
+        a wall-clock-only watchdog (no livelock budget); combined with
+        an explicit watchdog it sets/overrides the wall-clock deadline.
         """
-        watchdog = coerce_watchdog(self.watchdog, system)
+        watchdog = coerce_watchdog(watchdog_spec(self.watchdog), system)
         if self.timeout_s is not None:
             if watchdog is None:
-                watchdog = SimWatchdog(livelock_cycles=None)
-                watchdog.bind_system(system)
+                watchdog = SimWatchdog(livelock_cycles=None).bind_system(system)
             watchdog.wall_clock_s = self.timeout_s
         return watchdog
 
@@ -344,8 +351,6 @@ class SimContext:
         state["artifact_store"] = None
         # A bound watchdog instance holds engine references; ship the
         # picklable spec instead and re-bind in the worker.
-        from repro.faults import watchdog_spec
-
         state["watchdog"] = watchdog_spec(self.watchdog)
         return state
 

@@ -1,4 +1,4 @@
-"""Hang detection for event-loop runs.
+"""Hang detection for simulation runs, on either engine.
 
 `SimWatchdog` plugs into ``EventQueue.run(watchdog=...)`` (duck-typed:
 ``begin`` / ``check`` / ``on_drain`` / ``interval``) and raises a
@@ -15,9 +15,12 @@ a broken configuration hang the process or exit silently:
 
 Checks are batched every ``interval`` fired events, so an unwatched
 hot loop pays nothing and a watched one pays ~1/interval of a clock
-read.  The one hang class this cannot catch is a non-yielding infinite
-loop *inside a single event callback* — the watchdog only runs between
-events.
+read.  The graph engine's cycle loop runs many cycles inside one event,
+so it also calls ``check`` itself every ``interval`` cycles, keeping its
+engine's ``running`` and ``committed`` current (see
+`repro.engine.scheduler`); the watchdog reads the same fields on both
+engines.  The one hang class this cannot catch is a non-yielding
+infinite loop *inside any other single event callback*.
 """
 
 from __future__ import annotations
@@ -133,15 +136,14 @@ def coerce_watchdog(value: Union[SimWatchdog, dict, bool, int, float, None],
     a livelock budget in cycles; a dict -> `SimWatchdog` kwargs; an
     instance passes through.  Any form that arrives without engines is
     bound to ``system`` (specs stay picklable — `ParallelSweep` ships
-    them to workers and binds in the worker).
+    them to workers and binds in the worker).  To watch a new system
+    with an instance that is already bound, coerce its `watchdog_spec`.
     """
     if value is None or value is False:
         return None
     if isinstance(value, SimWatchdog):
         watchdog = value
     elif value is True:
-        watchdog = SimWatchdog()
-    elif isinstance(value, bool):  # pragma: no cover - covered by True/False
         watchdog = SimWatchdog()
     elif isinstance(value, (int, float)):
         watchdog = SimWatchdog(livelock_cycles=int(value))

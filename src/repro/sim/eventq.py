@@ -97,9 +97,11 @@ class EventQueue:
         self._exit_requested = False
         self._exit_message = ""
         self._events_fired = 0
-        # ``max_tick`` of the latest run(): a callback running ahead
-        # (see try_advance) must not pass it.
+        # ``max_tick`` and ``watchdog`` of the latest run(): a callback
+        # running ahead (see try_advance) must not pass the one and
+        # checks in with the other.
         self._limit: Optional[int] = None
+        self._watchdog = None
         # Optional observer called as hook(event, tick) just before each
         # event fires (wired by System.attach_probe).  One attribute
         # compare per event when unset.
@@ -115,6 +117,13 @@ class EventQueue:
     @property
     def events_fired(self) -> int:
         return self._events_fired
+
+    @property
+    def watchdog(self):
+        """The watchdog passed to the latest :meth:`run` (or None).  A
+        callback that runs many cycles inside one event calls its
+        ``check`` itself, since ``run`` only checks between events."""
+        return self._watchdog
 
     def schedule(self, event: Event, when: int) -> Event:
         """Schedule ``event`` at absolute tick ``when``."""
@@ -219,6 +228,7 @@ class EventQueue:
         """
         self._exit_requested = False
         self._limit = max_tick
+        self._watchdog = watchdog
         fired = 0
         check_every = 0
         if watchdog is not None:
@@ -259,3 +269,4 @@ class EventQueue:
         self._exit_message = ""
         self._events_fired = 0
         self._limit = None
+        self._watchdog = None

@@ -250,8 +250,7 @@ class StandaloneAccelerator:
             watchdog=None) -> RunResult:
         from repro.engine import GraphLoweringError, resolve_engine
 
-        chosen, reason = resolve_engine(self.engine_request, self,
-                                        watchdog=watchdog)
+        chosen, reason = resolve_engine(self.engine_request, self)
         graph = None
         if chosen == "graph":
             try:

@@ -54,6 +54,20 @@ def test_graph_matches_dynamic_cache_memory(name, unroll):
     assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
 
 
+# -- watched runs: the watchdog checks in from the graph loop ----------
+WATCHED_CASES = ([(name, 1, "spm") for name in all_workload_names()]
+                 + [("gemm", 4, "cache"), ("stencil3d", 4, "cache")])
+
+
+@pytest.mark.parametrize("name,unroll,memory", WATCHED_CASES)
+def test_graph_matches_dynamic_watched(name, unroll, memory):
+    dynamic, graph = _run_pair(name, unroll, memory=memory, watchdog=True,
+                               timeout_s=60)
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+    unwatched = _context(name, "graph", unroll, memory=memory).run()
+    assert json.dumps(graph.to_dict()) == json.dumps(unwatched.to_dict())
+
+
 def _fig13_cache_point(fus, ports):
     """A Fig. 13 GEMM design point on the cache/DRAM memory."""
     from repro.core.config import DeviceConfig

@@ -11,6 +11,11 @@ from repro.exec.context import SimContext
 from repro.workloads import get_workload
 
 
+# Attached but never fired: the run falls back, and its results equal
+# a fault-free run's.
+IDLE_FAULT = "bit_flip@spm:access=1000000000"
+
+
 def _graph_ctx(**kwargs):
     kwargs.setdefault("memory", "spm")
     return SimContext(get_workload("gemm"), seed=7, verify=False,
@@ -25,18 +30,19 @@ def test_fault_injection_falls_back():
 
 
 def test_watchdog_falls_back():
+    # It no longer does: the graph scheduler checks the watchdog itself.
     ctx = _graph_ctx(watchdog=True)
     ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert "watchdog" in ctx.fallback_reason
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
 
 
 def test_timeout_falls_back():
-    # timeout_s is implemented as a wall-clock watchdog.
+    # timeout_s is a wall-clock watchdog, so it stays on graph too.
     ctx = _graph_ctx(timeout_s=60.0)
     ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert "watchdog" in ctx.fallback_reason
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
 
 
 def test_cache_memory_falls_back():
@@ -49,10 +55,11 @@ def test_cache_memory_falls_back():
 
 
 def test_fallback_run_identical_to_explicit_dynamic():
-    degraded = _graph_ctx(watchdog=True)
+    degraded = _graph_ctx(faults=IDLE_FAULT)
     first = degraded.run()
+    assert degraded.engine_used == "dynamic"
     explicit = SimContext(get_workload("gemm"), seed=7, verify=False,
-                          engine="dynamic", memory="spm", watchdog=True)
+                          engine="dynamic", memory="spm", faults=IDLE_FAULT)
     second = explicit.run()
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
@@ -60,7 +67,7 @@ def test_fallback_run_identical_to_explicit_dynamic():
 def test_engine_provenance_is_not_serialized():
     # engine_used/fallback_reason are transient: cached results must
     # stay byte-identical no matter which engine produced them.
-    result = _graph_ctx(watchdog=True).run()
+    result = _graph_ctx(faults=IDLE_FAULT).run()
     assert result.fallback_reason
     payload = result.to_dict()
     assert "engine_used" not in payload

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import DeviceConfig
 from repro.exec import RunCache, SimContext, Simulation
+from repro.faults import SimulationHang, SimWatchdog
 from repro.sim.simobject import System
 from repro.workloads import get_workload
 
@@ -130,3 +131,22 @@ def test_simulation_stats_report():
     sim = Simulation(system)
     assert sim.stats() == {}
     assert "sim.stats" in sim.report()
+
+
+# -- watchdogs: built per run, bound to the current system ----------------
+def test_reused_watchdog_watches_the_current_system():
+    watchdog = SimWatchdog(livelock_cycles=2000, wall_clock_s=5)
+    _gemm_context(watchdog=watchdog).run()
+    stalled = _gemm_context(watchdog=watchdog,
+                            faults="port_stall@memctrl:tick=50000")
+    with pytest.raises(SimulationHang) as info:
+        stalled.run()
+    # Not "wallclock": the stalled system's engine is the one watched.
+    assert info.value.reason == "livelock"
+
+
+def test_timeout_leaves_the_callers_watchdog_unchanged():
+    watchdog = SimWatchdog(livelock_cycles=2000)
+    _gemm_context(watchdog=watchdog, timeout_s=60).run()
+    assert watchdog.wall_clock_s is None
+    assert watchdog.engines == []

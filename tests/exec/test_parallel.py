@@ -110,7 +110,7 @@ def test_sweep_records_graph_and_memory_fallback_per_point():
     watched = ParallelSweep(watchdog=True).run(
         workload, HALF_GRID, _configure, seed=7)
     assert [(p.engine_used, p.fallback_reason) for p in watched] == [
-        ("dynamic", "watchdog attached"),
+        ("graph", ""),
     ]
 
 

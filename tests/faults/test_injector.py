@@ -77,7 +77,7 @@ def test_faulty_runs_never_touch_the_cache(tmp_path):
 # -- determinism -------------------------------------------------------------
 def test_fault_free_run_is_byte_identical():
     baseline = _ctx().run()
-    # faults=None, watchdog attached: neither may perturb the simulation.
+    # faults=None, watched run: neither may perturb the simulation.
     hardened = _ctx(faults=None, watchdog=True, timeout_s=60.0).run()
     assert json.dumps(baseline.to_dict(), sort_keys=True) == json.dumps(
         hardened.to_dict(), sort_keys=True
