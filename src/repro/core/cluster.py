@@ -34,8 +34,11 @@ class AcceleratorCluster(SimObject):
         shared_spm_bytes: int = 0,
         dma_burst_bytes: int = 64,
         clock: Optional[ClockDomain] = None,
+        engine: str = "graph",
     ) -> None:
         super().__init__(name, system, clock)
+        #: Engine selector for every accelerator added (`ComputeUnit`).
+        self.engine = engine
         self.local_xbar = Crossbar(f"{name}.lxbar", system, clock=clock)
         self.accelerators: list[ComputeUnit] = []
         self._mmr_cursor = mmr_base
@@ -93,6 +96,7 @@ class AcceleratorCluster(SimObject):
             config=config,
             mmr_base=self._alloc_mmr_range(),
             clock=None,
+            engine=self.engine,
         )
         # MMRs are reachable from the cluster (and beyond) for control.
         self.local_xbar.attach_slave(unit.comm.mmr.pio, unit.comm.mmr.range, label=f"{name}.mmr")

@@ -2,10 +2,13 @@
 
 Binds a statically elaborated `LLVMInterface` to a `RuntimeEngine` and
 a `CommInterface`.  The host launches it by writing argument MMRs and
-setting the START bit; on completion the unit sets DONE and raises its
-interrupt.  Also collects the per-accelerator power report, combining
-datapath energy from the engine with SPM access energy from an
-(optional) private scratchpad.
+setting the START bit; a standalone harness calls :meth:`launch`
+directly.  Either way :meth:`launch` picks the execution backend (the
+graph-compiled `GraphScheduler` by default, see
+`repro.engine.resolve_engine`) and, on completion, the unit sets DONE
+and raises its interrupt.  Also collects the per-accelerator power
+report, combining datapath energy from the engine with SPM access
+energy from an (optional) private scratchpad.
 """
 
 from __future__ import annotations
@@ -35,7 +38,15 @@ class ComputeUnit(SimObject):
         config: Optional[DeviceConfig] = None,
         mmr_base: int = 0x1000_0000,
         clock: Optional[ClockDomain] = None,
+        engine: str = "graph",
+        artifact_store=None,
     ) -> None:
+        from repro.engine import ENGINES
+
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine '{engine}'; valid: {', '.join(ENGINES)}"
+            )
         super().__init__(name, system, clock)
         self.config = config or DeviceConfig(name=name)
         if clock is None and self.config.clock_freq_hz:
@@ -58,6 +69,15 @@ class ComputeUnit(SimObject):
             clock=clock,
         )
         self.comm.on_start(self._launch)
+        #: Requested execution backend (`repro.engine.ENGINES`); each
+        #: launch may still fall back to the dynamic engine.
+        self.engine_request = engine
+        #: Engine that ran the most recent launch, and why it used the
+        #: event queue although the graph engine was requested.
+        self.engine_used: Optional[str] = None
+        self.fallback_reason: Optional[str] = None
+        self.artifact_store = artifact_store
+        self._graph = None
         self.private_spm: Optional[Scratchpad] = None
         self._run_callbacks: list[Callable[[], None]] = []
         self.invocations = 0
@@ -76,31 +96,54 @@ class ComputeUnit(SimObject):
 
     # -- launch path ---------------------------------------------------------
     def _launch(self) -> None:
+        """MMR START: read the argument registers and launch."""
         arg_types = [a.type for a in self.iface.func.args]
-        args = self.comm.read_arguments(arg_types)
-        self.invocations += 1
-        self.launch_log.append((self.cur_tick, list(args)))
-        self.engine.start(args, on_done=self._done_callback(None))
+        self.launch(self.comm.read_arguments(arg_types))
 
-    # -- direct (host-less) programming, for standalone harnesses -------------
     def launch(self, args: list, on_done: Optional[Callable[[], None]] = None) -> None:
-        """Start directly with python argument values (no host involved)."""
+        """Start one invocation with python argument values, on the
+        engine `repro.engine.resolve_engine` picks for this unit."""
+        from repro.engine import GraphLoweringError, GraphScheduler, resolve_engine
+
+        chosen, reason = resolve_engine(self.engine_request, self)
+        graph = None
+        if chosen == "graph":
+            try:
+                graph = self.graph()
+            except GraphLoweringError as exc:
+                chosen, reason = "dynamic", f"lowering failed: {exc}"
+        self.engine_used = chosen
+        self.fallback_reason = reason
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
-        self.engine.start(args, on_done=self._done_callback(on_done))
+        done = self._done_callback(on_done)
+        if graph is None:
+            self.engine.start(args, on_done=done)
+        else:
+            GraphScheduler(graph, self).start(args, on_done=done)
 
-    def launch_compiled(self, graph, args: list,
-                        on_done: Optional[Callable[[], None]] = None) -> None:
-        """:meth:`launch`, with the graph-compiled backend
-        (`repro.engine`) driving the datapath instead of the dynamic
-        engine.  Stats, energy, and the DONE / interrupt protocol land
-        exactly where :meth:`launch` puts them."""
-        from repro.engine.scheduler import GraphScheduler
+    def graph(self):
+        """The datapath's `SimGraph`, lowered once through the build
+        pipeline's graph stage (and the artifact store, when given)."""
+        if self._graph is None:
+            from repro.build.artifact import ElaboratedDesign
+            from repro.build.pipeline import BuildPipeline
 
-        self.invocations += 1
-        self.launch_log.append((self.cur_tick, list(args)))
-        GraphScheduler(graph, self).start(args,
-                                          on_done=self._done_callback(on_done))
+            stage = BuildPipeline(store=self.artifact_store)
+            self._graph = stage.graph(ElaboratedDesign(self.iface)).payload
+        return self._graph
+
+    def inline_spm(self) -> Optional[Scratchpad]:
+        """The private SPM when the graph scheduler may model memory
+        inline: the memctrl's only route is that SPM and the SPM has
+        one port, so nothing but this unit can reach it.  Otherwise
+        (None) every access goes through the memctrl's ports."""
+        spm = self.private_spm
+        routes = self.comm.memctrl.routes
+        if (spm is not None and len(spm.ports) == 1 and len(routes) == 1
+                and routes[0][1].peer is spm.ports[0]):
+            return spm
+        return None
 
     def _done_callback(self, on_done: Optional[Callable[[], None]]):
         """Completion: busy cycles, DONE bit, interrupt, then callbacks."""

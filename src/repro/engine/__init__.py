@@ -6,15 +6,17 @@ elaborated design into a flat `SimGraph`) and a backend
 per-instruction event-queue traffic), producing byte-identical stats to
 the dynamic `RuntimeEngine` — see DESIGN.md, "Graph-compiled engine".
 
-The graph engine is the default, on every memory configuration: the
-scheduler models private-SPM and ideal memory inline and drives any
-other memory (cache + DRAM) through the real memctrl ports, from a
-tick event on the system's event queue, and it honours the run's
-watchdog itself.  `resolve_engine` implements the documented fallback
-rules: a graph run silently moves to the dynamic event-queue engine
-whenever a feature the graph backend does not model is active (an
-instrumentation-bus observer that declares a fallback reason — fault
-injection, the access sanitizer — or strictly-ordered regions).
+The graph engine is the default, on every memory configuration and
+for every launch, standalone or host-programmed through the MMRs
+(`ComputeUnit.launch` is the one launch path).  The scheduler models a
+private SPM only the unit can reach inline, drives any other memory
+(cache + DRAM, a cluster's crossbar, stream ports) through the real
+memctrl ports from a tick event on the system's event queue, orders
+strictly-ordered (stream) regions in its conflict scan, and honours
+the run's watchdog itself.  `resolve_engine` implements the one
+fallback rule: a graph launch moves to the dynamic event-queue engine
+when an instrumentation-bus observer declares a fallback reason (fault
+injection, the access sanitizer).
 """
 
 from __future__ import annotations
@@ -33,23 +35,19 @@ from repro.engine.scheduler import GraphScheduler
 ENGINES = ("dynamic", "graph")
 
 
-def resolve_engine(requested: str, acc) -> tuple[str, Optional[str]]:
-    """Pick the engine that will actually run.
+def resolve_engine(requested: str, unit) -> tuple[str, Optional[str]]:
+    """Pick the engine that will actually run ``unit``'s next launch.
 
-    ``acc`` is a `StandaloneAccelerator`, which has already checked
-    ``requested`` against `ENGINES`.  Returns ``(engine, reason)`` where
-    ``reason`` says why this run uses the event queue (None when the
-    request is honoured).  The checks mirror what the graph backend
-    models; anything else must take the dynamic path so behaviour (and
-    error reporting) is unchanged.
+    ``unit`` is a `ComputeUnit`; ``requested`` is its engine selector,
+    already checked against `ENGINES`.  Returns ``(engine, reason)``
+    where ``reason`` says why this launch uses the event queue (None
+    when the request is honoured).
     """
     if requested == "dynamic":
         return "dynamic", None
-    for observer in acc.system.observers:
+    for observer in unit.system.observers:
         if observer.fallback_reason is not None:
             return "dynamic", observer.fallback_reason
-    if acc.unit.comm.memctrl.strict_ranges:
-        return "dynamic", "strictly-ordered memory regions"
     return "graph", None
 
 

@@ -8,8 +8,12 @@ them: DEFAULT_PRI before the engine tick's CPU_TICK_PRI, then
 scheduling order), then run the tick phases in the dynamic engine's
 order (fetch, wake, issue with retry, memory pump, occupancy).
 
-The loop is driven from the event queue like `RuntimeEngine`: `start`
-schedules a CPU_TICK_PRI tick event, and each firing runs cycles ahead
+The loop is driven from the event queue like `RuntimeEngine`:
+`ComputeUnit.launch` (the one launch path, for host MMR starts and
+standalone runs alike) calls `start`, which schedules a CPU_TICK_PRI
+tick event at ``clock_edge(1)`` — also for a launch that lands
+mid-cycle, where that edge is two cycles past ``start_cycle`` — and
+each firing runs cycles ahead
 for as long as `EventQueue.try_advance` finds nothing else due and the
 running ``max_tick`` allows.  When something is due it reschedules the
 tick for the next cycle and suspends (the loop is a generator), so
@@ -33,8 +37,10 @@ graph backend accepts.  Where the dynamic engine consults live objects
 (profile specs, CDFG nodes), this loop reads the flat arrays
 `compile_graph` precomputed.  Memory goes one of two ways:
 
-* **Inline model**, when the unit has a private SPM (``memory="spm"``
-  or ``"ideal"``).  The loop models the memory system's timing itself
+* **Inline model**, when the unit hands over its private SPM
+  (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM and
+  the SPM has one port, as in standalone ``memory="spm"`` or
+  ``"ideal"``).  The loop models the memory system's timing itself
   and never touches the event queue, so a standalone run is one
   uninterrupted loop inside one tick event:
 
@@ -47,10 +53,12 @@ graph backend accepts.  Where the dynamic engine consults live objects
   - ideal memory: functional access at pump, completion one cycle
     later, no SPM accounting, matching `AcceleratorMemController.ideal`.
 
-* **Port-backed**, otherwise (``memory="cache"``).  Loads and stores go
-  through the real `AcceleratorMemController`: ``enqueue_read`` /
-  ``enqueue_write`` at issue, ``pump()`` in the memory phase, and from
-  there to the cache → DRAM ports.  Ordering rule: register write
+* **Port-backed**, otherwise (``memory="cache"``, and every cluster
+  unit: its private SPM is also on the local crossbar for the DMA).
+  Loads and stores go through the real `AcceleratorMemController`:
+  ``enqueue_read`` / ``enqueue_write`` at issue, ``pump()`` in the
+  memory phase, and from there to the SPM, crossbar, stream or
+  cache → DRAM ports.  Ordering rule: register write
   energy is a float sum in commit order, so compute commits and port
   completions must interleave exactly as the event queue orders them.
   A cycle's compute commits therefore become one event per completion
@@ -67,7 +75,11 @@ accesses have distinct root pointer arguments (disjoint staged buffers)
 or the same root with non-overlapping constant offsets (identical to
 the runtime arithmetic by construction).  Conflict outcomes are
 therefore exactly the dynamic engine's.  Loads, which only conflict
-with earlier stores, scan a window of outstanding stores alone.
+with earlier stores, scan a window of outstanding stores alone.  An
+access to a strictly-ordered region (a stream window) first applies
+`RuntimeEngine._conflicts`' strict rule over the whole window, loads
+included: an earlier same-address access blocks unless it is already
+``ISSUED``.
 
 Dynamic instruction instances (the mirror of `DynInst`) are plain
 lists, the cheapest record to allocate and index in CPython:
@@ -124,12 +136,14 @@ _NEVER = sys.maxsize  # the next-check cycle of an unwatched run
 class GraphScheduler:
     """Executes one kernel invocation over a compiled `SimGraph`."""
 
-    def __init__(self, graph: SimGraph, unit, spm=None) -> None:
+    def __init__(self, graph: SimGraph, unit) -> None:
         self.graph = graph
         self.unit = unit
         self.engine = unit.engine
         self.memctrl = unit.comm.memctrl
-        self.spm = spm if spm is not None else unit.private_spm
+        # The scratchpad the inline model owns; None drives every access
+        # through the memctrl's ports.
+        self.spm = unit.inline_spm()
         self._cycles = None  # the suspended cycle loop
         self._tick_event = Event(self.run, priority=Event.CPU_TICK_PRI,
                                  name=f"{self.engine.name}.tick")
@@ -142,9 +156,16 @@ class GraphScheduler:
     # ------------------------------------------------------------------
     def start(self, arg_values: list,
               on_done: Optional[Callable[[], None]] = None) -> None:
-        """Launch: the first tick fires on the next clock edge, as in
-        `RuntimeEngine.start`; ``on_done`` runs in the final tick."""
+        """Launch: the first tick fires at ``clock_edge(1)``, as in
+        `RuntimeEngine.start`; ``on_done`` runs in the final tick.
+
+        A launch off the clock edge (a host MMR write lands mid-cycle)
+        starts in cycle ``c`` but first ticks in ``c + 2``, so the loop's
+        first cycle is taken from that edge here, not from
+        ``start_cycle``."""
         engine = self.engine
+        if engine.running:
+            raise EngineError(f"{engine.name}: already running")
         if len(arg_values) != self.graph.arg_count:
             raise EngineError(
                 f"{engine.name}: expected {self.graph.arg_count} arguments, "
@@ -153,8 +174,10 @@ class GraphScheduler:
         engine.start_cycle = engine.cur_cycle
         engine.running = True
         engine.driver = self
-        self._cycles = self._loop(list(arg_values), engine.start_cycle, on_done)
-        engine.schedule_in_cycles(self._tick_event, 1)
+        first_tick = engine.clock_edge(1)
+        self._cycles = self._loop(list(arg_values),
+                                  first_tick // engine.clock.period, on_done)
+        engine.eventq.schedule(self._tick_event, first_tick)
 
     def run(self) -> None:
         """The tick event: simulate cycles until the kernel finishes or
@@ -203,7 +226,7 @@ class GraphScheduler:
             return _NEVER
         return cycle + max(1, int(getattr(watchdog, "interval", 256)))
 
-    def _loop(self, args: list, start_cycle: int,
+    def _loop(self, args: list, first_cycle: int,
               on_done: Optional[Callable[[], None]]):
         g = self.graph
         engine = self.engine
@@ -248,8 +271,8 @@ class GraphScheduler:
         ideal_lat = memctrl.ideal_latency_cycles
         mem_read_ports = memctrl.read_ports
         mem_write_ports = memctrl.write_ports
-        # The inline model owns the memory system when the unit has a
-        # private SPM; otherwise every access goes through the memctrl.
+        # The inline model owns the memory system when the unit handed
+        # over its SPM; otherwise every access goes through the memctrl.
         inline = spm is not None
         if inline:
             image = spm.image
@@ -258,6 +281,7 @@ class GraphScheduler:
             spm_write_ports = spm.write_ports
             spm_bank_of = spm.bank_of
             spm_name = spm.name
+        is_strict = memctrl.is_strict if memctrl.strict_ranges else None
         enqueue_read = memctrl.enqueue_read
         enqueue_write = memctrl.enqueue_write
         hub = engine._probe
@@ -492,12 +516,25 @@ class GraphScheduler:
             is_load = kind[nid] == K_LOAD
             root = mem_root[nid]
             offset = mem_offset[nid]
+            # Strictly-ordered regions (stream FIFOs): same-address
+            # accesses enter the request queue in program order but may
+            # pipeline, so a strict access scans every earlier access,
+            # loads included, before the usual rules.
+            strict = is_strict is not None and is_strict(addr)
             # Loads only conflict with earlier stores.
-            for other in store_window if is_load else mem_window:
+            for other in (mem_window if strict or not is_load
+                          else store_window):
                 if other[1] >= my_seq:
                     break
                 onid = other[0]
                 other_addr = other[7]
+                if strict:
+                    if other_addr == addr:
+                        if other[2] == ISSUED:
+                            continue  # queued ahead of us: order kept
+                        return True   # not queued yet: wait for it
+                    if is_load and kind[onid] == K_LOAD:
+                        continue
                 if other_addr is None:
                     return True  # unresolved earlier address: conservative
                 # Static fast path (memdep): provably disjoint once both
@@ -649,7 +686,7 @@ class GraphScheduler:
         try_advance = eventq.try_advance
         next_check = self._next_check
         publish = self._publish
-        cycle = start_cycle
+        cycle = first_cycle - 1
         watchdog = eventq.watchdog
         check_at = next_check(watchdog, cycle)
         while True:

@@ -7,9 +7,15 @@ here, which is what makes the simulation "execute-in-execute".
 
 Includes a tiny bump allocator so workloads and tests can place arrays
 without managing addresses by hand.
+
+The bytes live in an anonymous ``mmap``, which the OS zero-fills one
+page at a time on first touch: an image costs resident memory only for
+the pages a run actually uses, however large its address window.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -30,7 +36,7 @@ class MemoryImage:
         self.name = name
         self.base = base
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size)
         self._alloc_ptr = base
 
     # -- raw byte access ---------------------------------------------------

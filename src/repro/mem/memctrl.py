@@ -84,6 +84,11 @@ class AcceleratorMemController(SimObject):
         self._routes.append((addr_range, port))
         return port
 
+    @property
+    def routes(self) -> list[tuple[AddrRange, MasterPort]]:
+        """``(range, master port)`` per route, in lookup order."""
+        return self._routes
+
     def add_strict_range(self, addr_range: AddrRange) -> None:
         self.strict_ranges.append(addr_range)
 

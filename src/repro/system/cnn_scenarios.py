@@ -86,8 +86,9 @@ def _start_acc(host, mmr_base, args):
     yield host.write_mmr(mmr_base, CTRL_START | CTRL_IRQ_EN)
 
 
-def _build_platform(rng, observers):
-    soc = build_soc(dram_size=1 << 20, host_op_overhead_cycles=_HOST_OP_OVERHEADS)
+def _build_platform(rng, observers, engine):
+    soc = build_soc(dram_size=1 << 20, host_op_overhead_cycles=_HOST_OP_OVERHEADS,
+                    engine=engine)
     for observer in observers:
         if observer is not None:
             soc.system.attach_probe(observer)
@@ -140,11 +141,12 @@ def _compile(source: str, name: str):
 
 
 # ---------------------------------------------------------------------------
-def run_private_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
+def run_private_spm(seed: int = 7, trace_hub=None, sanitizer=None,
+                    engine: str = "graph") -> ScenarioResult:
     """Fig. 16a: private SPMs, DMA between stages, host-synchronized."""
     rng = np.random.default_rng(seed)
     soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
-        rng, (trace_hub, sanitizer))
+        rng, (trace_hub, sanitizer), engine)
     cluster = soc.add_cluster("cl")
     profile = default_profile()
     conv = cluster.add_accelerator(
@@ -198,11 +200,12 @@ def run_private_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioRe
 
 
 # ---------------------------------------------------------------------------
-def run_shared_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
+def run_shared_spm(seed: int = 7, trace_hub=None, sanitizer=None,
+                   engine: str = "graph") -> ScenarioResult:
     """Fig. 16b: shared scratchpad, central-controller synchronization."""
     rng = np.random.default_rng(seed)
     soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
-        rng, (trace_hub, sanitizer))
+        rng, (trace_hub, sanitizer), engine)
     cluster = soc.add_cluster("cl", shared_spm_bytes=1 << 14)
     profile = default_profile()
     units = []
@@ -250,11 +253,12 @@ def run_shared_spm(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioRes
 
 
 # ---------------------------------------------------------------------------
-def run_stream(seed: int = 7, trace_hub=None, sanitizer=None) -> ScenarioResult:
+def run_stream(seed: int = 7, trace_hub=None, sanitizer=None,
+               engine: str = "graph") -> ScenarioResult:
     """Fig. 16c: direct accelerator-to-accelerator streaming."""
     rng = np.random.default_rng(seed)
     soc, image, kernel, golden, d_image, d_kernel, d_out = _build_platform(
-        rng, (trace_hub, sanitizer))
+        rng, (trace_hub, sanitizer), engine)
     cluster = soc.add_cluster("cl")
     profile = default_profile()
 

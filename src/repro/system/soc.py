@@ -115,23 +115,12 @@ class StandaloneAccelerator:
     ) -> None:
         if memory not in ("spm", "cache", "ideal"):
             raise ValueError(f"unknown memory configuration '{memory}'")
-        from repro.engine import ENGINES
-
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine '{engine}'; valid: {', '.join(ENGINES)}"
-            )
         self.memory = memory
-        #: Requested execution backend; :meth:`run` may still fall back
-        #: to the dynamic engine (see `repro.engine.resolve_engine`).
-        self.engine_request = engine
         #: Engine that actually executed the most recent run().
         self.engine_used: Optional[str] = None
         #: Why the most recent run used the event queue although the
         #: graph engine was requested (None otherwise).
         self.fallback_reason: Optional[str] = None
-        self.artifact_store = artifact_store
-        self._graph = None
         self.config = config or DeviceConfig()
         if memory == "ideal":
             self.config.ideal_memory = True
@@ -158,6 +147,8 @@ class StandaloneAccelerator:
             func_name,
             self.profile,
             config=self.config,
+            engine=engine,
+            artifact_store=artifact_store,
         )
 
         if memory in ("spm", "ideal"):
@@ -235,39 +226,16 @@ class StandaloneAccelerator:
         self.data_mem.reset_allocator()
 
     # -- execution ------------------------------------------------------------------
-    def _compiled_graph(self):
-        """Lower (once) to a `SimGraph` via the build pipeline's graph
-        stage, consulting the artifact store when one is attached."""
-        if self._graph is None:
-            from repro.build.artifact import ElaboratedDesign
-            from repro.build.pipeline import BuildPipeline
-
-            stage = BuildPipeline(store=self.artifact_store)
-            self._graph = stage.graph(ElaboratedDesign(self.unit.iface)).payload
-        return self._graph
-
     def run(self, args: list, max_ticks: Optional[int] = None,
             watchdog=None) -> RunResult:
-        from repro.engine import GraphLoweringError, resolve_engine
-
-        chosen, reason = resolve_engine(self.engine_request, self)
-        graph = None
-        if chosen == "graph":
-            try:
-                graph = self._compiled_graph()
-            except GraphLoweringError as exc:
-                chosen, reason = "dynamic", f"lowering failed: {exc}"
-        self.engine_used = chosen
-        self.fallback_reason = reason
         done = {"flag": False}
 
         def on_done():
             done["flag"] = True
 
-        if chosen == "graph":
-            self.unit.launch_compiled(graph, args, on_done=on_done)
-        else:
-            self.unit.launch(args, on_done=on_done)
+        self.unit.launch(args, on_done=on_done)
+        self.engine_used = self.unit.engine_used
+        self.fallback_reason = self.unit.fallback_reason
         self.system.run(max_tick=max_ticks, watchdog=watchdog)
         if not done["flag"]:
             raise RuntimeError(
@@ -298,6 +266,8 @@ class SoC:
     host: HostAgent
     irq: InterruptController
     clusters: list[AcceleratorCluster] = field(default_factory=list)
+    #: Engine selector handed to every accelerator of every cluster.
+    engine: str = "graph"
 
     def add_cluster(
         self,
@@ -315,6 +285,7 @@ class SoC:
             spm_base=spm_base,
             shared_spm_bytes=shared_spm_bytes,
             clock=acc_clock or self.system.clock,
+            engine=self.engine,
         )
         self.clusters.append(cluster)
         return cluster
@@ -364,8 +335,13 @@ def build_soc(
     host_clock_hz: float = 1.2e9,
     system_clock_hz: float = 1e9,
     host_op_overhead_cycles=25,
+    engine: str = "graph",
 ) -> SoC:
-    """Create the host + interconnect + DRAM skeleton of Fig. 1."""
+    """Create the host + interconnect + DRAM skeleton of Fig. 1.
+
+    ``engine`` selects the accelerators' execution backend
+    (`repro.engine.ENGINES`; ``"dynamic"`` is the differential oracle).
+    """
     system = System(name, clock_freq_hz=system_clock_hz)
     global_xbar = Crossbar(f"{name}.gxbar", system)
     dram = DRAM(f"{name}.dram", system, base=dram_base, size=dram_size)
@@ -380,5 +356,6 @@ def build_soc(
         clock=host_clock,
     )
     host.port.bind(global_xbar.slave_port("host"))
-    return SoC(system=system, dram=dram, global_xbar=global_xbar, host=host, irq=irq)
+    return SoC(system=system, dram=dram, global_xbar=global_xbar, host=host,
+               irq=irq, engine=engine)
 

@@ -1,10 +1,12 @@
 """Fallback rules: the graph engine is the default, and a graph run
-moves to the event queue — never errors — whenever a feature the graph
-backend does not model is active; the degraded run behaves exactly like
-an explicit dynamic run."""
+moves to the event queue — never errors — when an observer that the
+graph backend does not model is attached (fault injection, the
+sanitizer); the degraded run behaves exactly like an explicit dynamic
+run."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exec.context import SimContext
@@ -74,18 +76,47 @@ def test_engine_provenance_is_not_serialized():
     assert "fallback_reason" not in payload
 
 
-def test_strict_route_falls_back():
+# Eight pushes to a stream window, then eight pops back from it: the
+# unrolled same-address stores may only pipeline because the region is
+# strictly ordered (an ordinary region would serialize them).
+LOOPBACK = """
+void loopback(double s[1], double out[8]) {
+  #pragma unroll 8
+  for (int i = 0; i < 8; i++) {
+    s[0] = (double)i;
+  }
+  #pragma unroll 8
+  for (int i = 0; i < 8; i++) {
+    out[i] = s[0];
+  }
+}
+"""
+
+
+def _strict_route_run(engine):
     from repro.mem.stream_buffer import StreamBuffer
     from repro.mem.stream_port import StreamPort
+    from repro.system.soc import StandaloneAccelerator
 
-    ctx = SimContext(get_workload("gemm_dse"), seed=7, memory="spm")
-    acc = ctx.build()
-    buffer = StreamBuffer("b", acc.system, capacity_tokens=4)
+    acc = StandaloneAccelerator(LOOPBACK, "loopback", engine=engine)
+    buffer = StreamBuffer("b", acc.system, capacity_tokens=8)
     port = StreamPort("sp", acc.system, buffer, base=0x9000_0000)
     acc.unit.comm.add_memory_route(port.range, port.port, strict=True)
-    ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert ctx.fallback_reason == "strictly-ordered memory regions"
+    out = acc.alloc(64)
+    result = acc.run([port.range.start, out])
+    assert acc.read_array(out, np.float64, 8).tolist() == list(range(8))
+    return acc, result
+
+
+def test_strict_route_stays_on_graph():
+    # Strict regions are ordered in the scheduler's conflict scan; the
+    # second route also makes the unit's memory port-backed.
+    acc, graph = _strict_route_run("graph")
+    assert acc.engine_used == "graph"
+    assert acc.fallback_reason is None
+    assert acc.unit.inline_spm() is None
+    __, dynamic = _strict_route_run("dynamic")
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
 
 
 def test_graph_is_the_default():

@@ -1,5 +1,7 @@
 """MemoryImage: bounds, typed access, allocation."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,3 +97,33 @@ def test_write_read_arbitrary(offset, blob):
 def test_size_must_be_positive():
     with pytest.raises(ValueError):
         MemoryImage(0)
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_large_image_commits_lazily():
+    # An image costs resident memory for the pages a run touches, not
+    # for its whole address window (a finished platform may linger as
+    # cyclic garbage until the next full collection).
+    before = _resident_bytes()
+    mem = MemoryImage(256 << 20, base=0x8000_0000)
+    mem.write(0x8000_0000 + (128 << 20), b"\x01\x02")
+    assert _resident_bytes() - before < 8 << 20
+    assert mem.read(0x8000_0000 + (128 << 20), 3) == b"\x01\x02\x00"
+
+
+def test_lazy_image_supports_every_access():
+    mem = MemoryImage(64, base=0x100)
+    addr = mem.alloc_array(np.arange(4, dtype=np.float64))
+    np.testing.assert_array_equal(mem.read_array(addr, np.float64, 4),
+                                  np.arange(4, dtype=np.float64))
+    # The fault injector's in-place bit flip.
+    mem._data[addr - mem.base] ^= 0x80
+    assert mem.read(addr, 1) == b"\x80"
+    mem.fill(0x5A)
+    assert mem.read(0x100, 64) == b"\x5a" * 64
