@@ -3,12 +3,12 @@
 Binds a statically elaborated `LLVMInterface` to a `RuntimeEngine` and
 a `CommInterface`.  The host launches it by writing argument MMRs and
 setting the START bit; a standalone harness calls :meth:`launch`
-directly.  Either way :meth:`launch` picks the execution backend (the
-graph-compiled `GraphScheduler` by default, see
-`repro.engine.resolve_engine`) and, on completion, the unit sets DONE
-and raises its interrupt.  Also collects the per-accelerator power
-report, combining datapath energy from the engine with SPM access
-energy from an (optional) private scratchpad.
+directly.  Either way :meth:`launch` runs the requested backend (the
+graph-compiled `GraphScheduler` by default, unless lowering fails)
+and, on completion, the unit sets DONE and raises its interrupt.  Also
+collects the per-accelerator power report, combining datapath energy
+from the engine with SPM access energy from an (optional) private
+scratchpad.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.hw.profile import HardwareProfile
 from repro.ir.module import Module
 from repro.mem.spm import Scratchpad
 from repro.sim.clock import ClockDomain
+from repro.sim.probe import watches_memory
 from repro.sim.simobject import SimObject, System
 
 
@@ -69,8 +70,8 @@ class ComputeUnit(SimObject):
             clock=clock,
         )
         self.comm.on_start(self._launch)
-        #: Requested execution backend (`repro.engine.ENGINES`); each
-        #: launch may still fall back to the dynamic engine.
+        #: Requested execution backend (`repro.engine.ENGINES`); a graph
+        #: launch falls back to the dynamic engine if lowering fails.
         self.engine_request = engine
         #: Engine that ran the most recent launch, and why it used the
         #: event queue although the graph engine was requested.
@@ -102,18 +103,16 @@ class ComputeUnit(SimObject):
 
     def launch(self, args: list, on_done: Optional[Callable[[], None]] = None) -> None:
         """Start one invocation with python argument values, on the
-        engine `repro.engine.resolve_engine` picks for this unit."""
-        from repro.engine import GraphLoweringError, GraphScheduler, resolve_engine
+        requested engine."""
+        from repro.engine import GraphLoweringError, GraphScheduler
 
-        chosen, reason = resolve_engine(self.engine_request, self)
-        graph = None
-        if chosen == "graph":
+        graph = self.fallback_reason = None
+        if self.engine_request == "graph":
             try:
                 graph = self.graph()
             except GraphLoweringError as exc:
-                chosen, reason = "dynamic", f"lowering failed: {exc}"
-        self.engine_used = chosen
-        self.fallback_reason = reason
+                self.fallback_reason = f"lowering failed: {exc}"
+        self.engine_used = "dynamic" if graph is None else "graph"
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
         done = self._done_callback(on_done)
@@ -136,12 +135,14 @@ class ComputeUnit(SimObject):
     def inline_spm(self) -> Optional[Scratchpad]:
         """The private SPM when the graph scheduler may model memory
         inline: the memctrl's only route is that SPM and the SPM has
-        one port, so nothing but this unit can reach it.  Otherwise
-        (None) every access goes through the memctrl's ports."""
+        one port, so nothing but this unit can reach it, and no
+        observer watches memory.  Otherwise (None) every access goes
+        through the memctrl's ports."""
         spm = self.private_spm
         routes = self.comm.memctrl.routes
         if (spm is not None and len(spm.ports) == 1 and len(routes) == 1
-                and routes[0][1].peer is spm.ports[0]):
+                and routes[0][1].peer is spm.ports[0]
+                and not any(map(watches_memory, self.system.observers))):
             return spm
         return None
 

@@ -38,11 +38,11 @@ graph backend accepts.  Where the dynamic engine consults live objects
 `compile_graph` precomputed.  Memory goes one of two ways:
 
 * **Inline model**, when the unit hands over its private SPM
-  (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM and
-  the SPM has one port, as in standalone ``memory="spm"`` or
-  ``"ideal"``).  The loop models the memory system's timing itself
-  and never touches the event queue, so a standalone run is one
-  uninterrupted loop inside one tick event:
+  (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM, the
+  SPM has one port, as in standalone ``memory="spm"`` or ``"ideal"``,
+  and no observer watches memory).  The loop models the memory
+  system's timing itself and never touches the event queue, so a
+  standalone run is one uninterrupted loop inside one tick event:
 
   - memory controller: per-cycle read/write port limits, FIFO queues,
     stall counting (``stat.inc(len(queue))`` per blocked cycle), reads
@@ -53,8 +53,9 @@ graph backend accepts.  Where the dynamic engine consults live objects
   - ideal memory: functional access at pump, completion one cycle
     later, no SPM accounting, matching `AcceleratorMemController.ideal`.
 
-* **Port-backed**, otherwise (``memory="cache"``, and every cluster
-  unit: its private SPM is also on the local crossbar for the DMA).
+* **Port-backed**, otherwise (``memory="cache"``, fault injection or
+  the sanitizer, and every cluster unit: its private SPM is also on
+  the local crossbar for the DMA).
   Loads and stores go through the real `AcceleratorMemController`:
   ``enqueue_read`` / ``enqueue_write`` at issue, ``pump()`` in the
   memory phase, and from there to the SPM, crossbar, stream or

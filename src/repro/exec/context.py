@@ -137,8 +137,8 @@ class SimContext:
         # Robustness knobs: fault plans poison results, so faulty runs
         # bypass the cache entirely; watchdog/timeout are observability.
         self.faults = FaultPlan.coerce(faults)
-        # Race detection: sanitized runs carry extra result payload and
-        # force the dynamic engine, so they also bypass the run cache.
+        # Race detection: sanitized runs carry extra result payload, so
+        # they also bypass the run cache.
         self.sanitize = sanitize
         self.watchdog = watchdog
         self.timeout_s = timeout_s

@@ -3,9 +3,11 @@
 The injector observes the instrumentation bus (`repro.sim.probe`), so
 a fault-free simulation stays bit- and cycle-identical.  Tick triggers
 are scheduled on the event queue at attach time; access triggers count
-the target's bus ``access`` calls.  Every injection is appended to
-:attr:`injected` and emitted on the ``faults`` trace channel, so
-Chrome traces show the injection against the activity it perturbs.
+the target's bus ``access`` calls, so the graph engine drives a run it
+observes through the real ports (`repro.sim.probe.watches_memory`).
+Every injection is appended to :attr:`injected` and emitted on the
+``faults`` trace channel, so Chrome traces show the injection against
+the activity it perturbs.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class _Armed:
 
 class FaultInjector(Probe):
     """Resolves a plan's targets, arms its events, applies its faults."""
-
-    fallback_reason = "fault injection active"
 
     def __init__(self, plan) -> None:
         plan = FaultPlan.coerce(plan)

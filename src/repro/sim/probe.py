@@ -15,9 +15,6 @@ from typing import Hashable, Optional
 class Probe:
     """Observer protocol; every call defaults to a no-op."""
 
-    #: Why this observer forces the dynamic engine (None: it does not).
-    fallback_reason: Optional[str] = None
-
     def enabled(self, channel: str) -> bool:
         """True when :meth:`emit` records ``channel``."""
         return False
@@ -47,6 +44,18 @@ class Probe:
     def dma_action(self, obj) -> Optional[tuple[str, int]]:
         """At DMA launch: a ("drop"|"delay", cycles) action, or None."""
         return None
+
+
+#: The per-access hooks the graph scheduler's inline memory model never calls.
+_MEMORY_HOOKS = ("access", "stalled", "drop_request")
+
+
+def watches_memory(observer: Probe) -> bool:
+    """True when ``observer``'s class overrides a per-access hook, so a
+    run it observes must drive memory through the real ports."""
+    cls = type(observer)
+    return any(getattr(cls, hook) is not getattr(Probe, hook)
+               for hook in _MEMORY_HOOKS)
 
 
 class ProbeFanout(Probe):

@@ -18,6 +18,9 @@ of how the event queue happened to interleave them.  That determinism
 is what lets the scenario cross-validation harness treat a sanitizer
 hit as ground truth for the static SYS304 rule.
 
+It watches memory (`repro.sim.probe.watches_memory`), so the graph
+engine drives a run it observes through the ports that make the calls.
+
 Shadow state is an interval map bucketed by address, with one entry per
 distinct (agent, range) pair per epoch, so tight accelerator loops that
 re-touch the same scratchpad words stay O(distinct ranges), not
@@ -35,9 +38,6 @@ _BUCKET_BYTES = 256
 
 class AccessSanitizer(Probe):
     """Happens-before race detector over attributed memory accesses."""
-
-    #: The graph engine's inline memory model bypasses the bus.
-    fallback_reason = "access sanitizer attached"
 
     def __init__(self, max_reports: int = 64) -> None:
         self.max_reports = max_reports

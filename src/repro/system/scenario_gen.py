@@ -360,10 +360,8 @@ def cross_validate(num_seeds: int = 26, base_seed: int = 0) -> dict:
 
     * the clean variant is SYS304/305-free statically, sanitizer-clean
       dynamically, and byte/tick-identical with and without the
-      sanitizer attached (the zero-overhead claim).  The plain run's
-      accelerators execute on the graph engine and the sanitized run's
-      on the event queue (the sanitizer is a fallback reason), so this
-      is also a graph-vs-dynamic differential check per seed;
+      sanitizer attached (the zero-overhead claim), both on the graph
+      engine;
     * whenever the sanitizer observes a race in the racy variant, the
       static lint reported SYS304 (no static false negatives).
 

@@ -1,8 +1,8 @@
-"""Fallback rules: the graph engine is the default, and a graph run
-moves to the event queue — never errors — when an observer that the
-graph backend does not model is attached (fault injection, the
-sanitizer); the degraded run behaves exactly like an explicit dynamic
-run."""
+"""Fallback rules: the graph engine is the default, observed runs
+included — fault injection and the sanitizer only make the scheduler
+drive memory through the real ports — and the one launch that moves to
+the event queue is a datapath the lowering rejects, which then behaves
+exactly like an explicit dynamic run."""
 
 import json
 
@@ -13,8 +13,7 @@ from repro.exec.context import SimContext
 from repro.workloads import get_workload
 
 
-# Attached but never fired: the run falls back, and its results equal
-# a fault-free run's.
+# Attached but never fired: the run's results equal a fault-free run's.
 IDLE_FAULT = "bit_flip@spm:access=1000000000"
 
 
@@ -24,11 +23,24 @@ def _graph_ctx(**kwargs):
                       engine="graph", **kwargs)
 
 
+def _dynamic_json(**kwargs):
+    kwargs.setdefault("memory", "spm")
+    result = SimContext(get_workload("gemm"), seed=7, verify=False,
+                        engine="dynamic", **kwargs).run()
+    return json.dumps(result.to_dict())
+
+
 def test_fault_injection_falls_back():
-    ctx = _graph_ctx(faults="port_stall@memctrl:tick=50000,cycles=300")
-    ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert "fault" in ctx.fallback_reason
+    # It no longer does: the injector's hooks sit on the real ports,
+    # which the scheduler drives for a run that watches memory.
+    stall = "port_stall@memctrl:tick=50000,cycles=300"
+    ctx = _graph_ctx(faults=stall)
+    result = ctx.run()
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
+    assert ctx.fault_injector.injected  # the stall fired
+    assert ctx.accelerator.unit.inline_spm() is None
+    assert json.dumps(result.to_dict()) == _dynamic_json(faults=stall)
 
 
 def test_watchdog_falls_back():
@@ -57,20 +69,20 @@ def test_cache_memory_falls_back():
 
 
 def test_fallback_run_identical_to_explicit_dynamic():
-    degraded = _graph_ctx(faults=IDLE_FAULT)
-    first = degraded.run()
-    assert degraded.engine_used == "dynamic"
-    explicit = SimContext(get_workload("gemm"), seed=7, verify=False,
-                          engine="dynamic", memory="spm", faults=IDLE_FAULT)
-    second = explicit.run()
-    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+    # An idle fault plan no longer moves the run: it stays on graph and
+    # matches an explicit dynamic run byte for byte.
+    observed = _graph_ctx(faults=IDLE_FAULT)
+    first = observed.run()
+    assert observed.engine_used == "graph"
+    assert json.dumps(first.to_dict()) == _dynamic_json(faults=IDLE_FAULT)
 
 
 def test_engine_provenance_is_not_serialized():
     # engine_used/fallback_reason are transient: cached results must
     # stay byte-identical no matter which engine produced them.
     result = _graph_ctx(faults=IDLE_FAULT).run()
-    assert result.fallback_reason
+    assert result.engine_used == "graph"
+    assert result.fallback_reason is None
     payload = result.to_dict()
     assert "engine_used" not in payload
     assert "fallback_reason" not in payload
@@ -147,3 +159,39 @@ def test_unknown_engine_rejected():
                      engine="warp", memory="spm")
     with pytest.raises(ValueError, match="engine"):
         ctx.build()
+
+
+# A local array: without mem2reg in the pipeline its alloca reaches the
+# datapath, which the graph lowering rejects and the dynamic engine
+# refuses at issue time.
+LOCAL_ARRAY = """
+void scale(double a[4], double out[4]) {
+  double tmp[4];
+  for (int i = 0; i < 4; i++) {
+    tmp[i] = a[i] * 2.0;
+  }
+  for (int i = 0; i < 4; i++) {
+    out[i] = tmp[i];
+  }
+}
+"""
+
+
+def _local_array_run(engine):
+    from repro.core.runtime import EngineError
+    from repro.system.soc import StandaloneAccelerator
+
+    acc = StandaloneAccelerator(LOCAL_ARRAY, "scale", pipeline="constfold",
+                                engine=engine)
+    with pytest.raises(EngineError) as info:
+        acc.run([acc.alloc(32), acc.alloc(32)])
+    return acc, str(info.value)
+
+
+def test_lowering_failure_falls_back_to_dynamic():
+    acc, graph_error = _local_array_run("graph")
+    assert acc.engine_used == "dynamic"
+    assert acc.fallback_reason.startswith("lowering failed")
+    explicit, dynamic_error = _local_array_run("dynamic")
+    assert explicit.fallback_reason is None
+    assert graph_error == dynamic_error

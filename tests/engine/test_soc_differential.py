@@ -56,3 +56,14 @@ def test_scenario_graph_matches_dynamic(name, seed):
     assert graph.verified
     assert _snapshot(graph) == _snapshot(dynamic)
 
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_sanitized_scenario_stays_on_graph(name):
+    from repro.sim.sanitizer import AccessSanitizer
+
+    dynamic = SCENARIOS[name](seed=7, sanitizer=AccessSanitizer(),
+                              engine="dynamic")
+    graph = SCENARIOS[name](seed=7, sanitizer=AccessSanitizer())
+    assert [unit.engine_used for unit in _units(graph)] == ["graph"] * 3
+    assert graph.sanitizer == dynamic.sanitizer
+    assert _snapshot(graph) == _snapshot(dynamic)

@@ -1,4 +1,4 @@
-"""SimContext(sanitize=True): zero timing impact, cache bypass, fallback."""
+"""SimContext(sanitize=True): zero timing impact, cache bypass, graph engine."""
 
 import json
 
@@ -40,11 +40,17 @@ def test_sanitized_run_bypasses_run_cache():
 
 
 def test_sanitize_forces_dynamic_engine():
+    # It no longer does: a sanitized run stays on graph with port-backed
+    # memory and matches an explicit dynamic run, report included.
     ctx = _ctx(sanitize=True, engine="graph")
     result = ctx.run()
-    assert ctx.engine_used == "dynamic"
-    assert "sanitizer" in (ctx.fallback_reason or "")
-    assert result.sanitizer is not None
+    assert ctx.engine_used == "graph"
+    assert ctx.fallback_reason is None
+    assert ctx.accelerator.unit.inline_spm() is None
+    assert result.sanitizer["num_records"] > 0
+    dynamic = _ctx(sanitize=True, engine="dynamic").run()
+    assert (json.dumps(result.to_dict(), sort_keys=True)
+            == json.dumps(dynamic.to_dict(), sort_keys=True))
 
 
 def test_sanitizer_detached_on_reset():

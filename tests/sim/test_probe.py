@@ -8,7 +8,7 @@ import pytest
 from repro.exec import SimContext
 from repro.faults import FaultInjector
 from repro.mem.spm import Scratchpad
-from repro.sim.probe import ProbeFanout
+from repro.sim.probe import Probe, ProbeFanout, watches_memory
 from repro.sim.sanitizer import AccessSanitizer
 from repro.sim.simobject import SimObject
 from repro.trace import TraceHub
@@ -72,12 +72,18 @@ def _run(**modes):
 
 
 def test_only_a_trace_hub_keeps_the_graph_engine():
+    # Every observer keeps it now; only the memory model differs.
     traced, __ = _run(engine="graph", trace=True)
     assert traced.engine_used == "graph"
     assert traced.trace_hub.emitted["compute"] > 0
-    # The first attached observer that declares a fallback reason wins.
-    faulty, __ = _run(engine="graph", trace=True, faults=STALL, sanitize=True)
-    assert faulty.fallback_reason == "fault injection active"
+    faulty, observed = _run(engine="graph", trace=True, faults=STALL,
+                            sanitize=True)
+    assert faulty.engine_used == "graph"
+    assert faulty.fallback_reason is None
+    __, dynamic = _run(engine="dynamic", trace=True, faults=STALL,
+                       sanitize=True)
+    assert _result_json(observed) == _result_json(dynamic)
+    assert observed.sanitizer == dynamic.sanitizer
 
 
 def _result_json(result):
@@ -105,3 +111,15 @@ def test_trace_faults_and_sanitizer_together_match_each_alone():
     assert combined.sanitizer == sanitized.sanitizer
     assert _trace_events(all_ctx) == _trace_events(trace_ctx)
     assert any(event["channel"] == "faults" for event in _trace_events(all_ctx))
+
+
+def test_watches_memory_is_derived_from_the_overridden_hooks():
+    class Counter(Probe):
+        def stalled(self, obj):
+            return False
+
+    assert not watches_memory(Probe())
+    assert not watches_memory(TraceHub())
+    assert watches_memory(AccessSanitizer())
+    assert watches_memory(FaultInjector("bit_flip@spm:access=1"))
+    assert watches_memory(Counter())

@@ -82,10 +82,10 @@ def test_run_workload(capsys):
 
 
 def test_run_reports_event_queue_fallback(capsys):
+    # A sanitized run no longer falls back: it stays on graph.
     assert main(["run", "gemm_dse", "--sanitize"]) == 0
     out = capsys.readouterr().out
-    assert ("engine          : dynamic (fallback: access sanitizer "
-            "attached)\n") in out
+    assert "engine          : graph\n" in out
 
 
 def test_sweep(capsys):
