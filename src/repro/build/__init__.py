@@ -5,8 +5,8 @@ explicit ``parse → lower → optimize → elaborate`` pipeline over
 hashable, picklable `Artifact`s, cached by SHA-256 of (source,
 function, canonical pass-pipeline spec) in an `ArtifactStore`.  The
 execution layer compiles each distinct kernel exactly once per sweep —
-workers receive prebuilt `Module`s — turning the DSE hot path from
-O(points × compile) into O(distinct kernels).
+each worker receives the prebuilt `Module`s once — turning the DSE hot
+path from O(points × compile) into O(distinct kernels).
 """
 
 from repro.build.artifact import (

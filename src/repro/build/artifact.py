@@ -30,7 +30,15 @@ def module_fingerprint(module: Module) -> str:
     The printer (and, since the mem2reg determinism fix, the whole
     standard pipeline) is deterministic, so equal source + equal pass
     pipeline ⇒ equal fingerprint — across runs and across processes.
+
+    An optimized module carries the hash its optimize stage recorded
+    (`Module.fingerprint`), so looking it up — `graph_key` does, once
+    per sweep point — does not re-print the module.  Only the passes
+    and the frontend mutate a module, and `PassManager.run` clears the
+    record, so it never goes stale.
     """
+    if module.fingerprint is not None:
+        return module.fingerprint
     from repro.ir.printer import print_module
 
     return hashlib.sha256(print_module(module).encode("utf-8")).hexdigest()

@@ -131,6 +131,11 @@ class BuildPipeline:
     def optimize(self, ir: Artifact) -> Artifact:
         """Stage 3: run the pass pipeline (in place), verify, fingerprint.
 
+        The fingerprint is recorded on the module (`Module.fingerprint`)
+        and pickles with it, so every later `module_fingerprint` of this
+        module — shipped to a sweep worker or served by the store — is
+        a lookup.
+
         With ``spec.verify_each`` the pass manager is a
         `VerifiedPassManager`: every pass is followed by a structural
         verify plus a golden-interpreter differential check, and the
@@ -148,8 +153,9 @@ class BuildPipeline:
         self._record("optimize", time.perf_counter() - start,
                      pipeline=self.spec.canonical())
         meta = dict(ir.meta if isinstance(ir, Artifact) else {})
+        module.fingerprint = module_fingerprint(module)
         meta.update(pipeline=self.spec.canonical(),
-                    fingerprint=module_fingerprint(module))
+                    fingerprint=module.fingerprint)
         return Artifact("opt-ir", module, meta=meta)
 
     def elaborate(
@@ -175,10 +181,12 @@ class BuildPipeline:
 
         The lowering for the graph-compiled execution backend
         (`repro.engine`).  Store-aware: the key covers the module
-        fingerprint, function, device config, hardware profile, and the
-        graph format version, so a sweep re-running the same design
-        point (`ParallelSweep`, run-cache misses with differing
-        arguments) lowers once and reuses the flat arrays thereafter.
+        fingerprint, function, the datapath side of the device config,
+        hardware profile, and the graph format version.  A store hit
+        returns the store's shared, read-only `SimGraph` (a new
+        `Artifact` wrapper around the same payload), so every point of
+        a sweep process that shares a datapath — memory-only knobs do
+        not join the key — runs on one lowering, thunks included.
         """
         from repro.engine.graph import (
             GRAPH_FORMAT_VERSION,

@@ -13,8 +13,16 @@ place, and anything that fails to unpickle (truncated write, foreign
 bytes, stale class layout) is renamed to ``<key>.art.corrupt`` and
 treated as a miss instead of poisoning later builds.
 
-`get` always rehydrates from the pickled bytes, so callers can never
-mutate a stored module in place — every hit is a private copy.
+Two kinds of entry are held differently in memory.  A module (any
+non-graph artifact) is held as its pickled bytes and every hit
+rehydrates from them, so callers can never mutate a stored module in
+place — each hit is a private copy.  A lowered `SimGraph` is
+read-only under a run (`tests/engine/test_graph_readonly.py`), so a
+graph entry is held decoded and every hit shares the one `SimGraph`:
+no unpickle and no rebuild of its eval thunks per hit.  Graphs are
+pickled only for the disk mirror.  Every hit gets its own `Artifact`
+wrapper and ``meta`` dict, so marking a hit ``cached`` never touches
+the stored entry.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from typing import Optional, Union
 
 from repro.build.artifact import Artifact
 
+#: Artifact kinds held decoded in memory and shared by every hit.
+SHARED_KINDS = ("graph",)
+
 
 class ArtifactStore:
     """Key -> `Artifact` store with hit/miss/quarantine accounting."""
@@ -38,7 +49,9 @@ class ArtifactStore:
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, bytes] = {}
+        #: key -> pickled bytes (private-copy kinds) or the decoded
+        #: `Artifact` (`SHARED_KINDS`).
+        self._memory: dict[str, Union[bytes, Artifact]] = {}
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
@@ -49,6 +62,8 @@ class ArtifactStore:
 
     def _load(self, key: str) -> Optional[Artifact]:
         blob = self._memory.get(key)
+        if isinstance(blob, Artifact):
+            return blob
         entry = self._entry(key)
         if blob is None:
             if entry is None:
@@ -66,12 +81,13 @@ class ArtifactStore:
             # Readable pickle, wrong contents (e.g. a renamed entry).
             self._quarantine(key, entry)
             return None
-        self._memory.setdefault(key, blob)
+        self._memory.setdefault(
+            key, artifact if artifact.kind in SHARED_KINDS else blob)
         return artifact
 
     def _quarantine(self, key: str, entry: Optional[Path]) -> None:
         """Move a corrupt entry aside (``*.art.corrupt`` escapes the
-        ``*.art`` glob) and forget its in-memory bytes."""
+        ``*.art`` glob) and forget its in-memory entry."""
         self.quarantined += 1
         self._memory.pop(key, None)
         if entry is not None:
@@ -85,13 +101,18 @@ class ArtifactStore:
             self.misses += 1
             return None
         self.hits += 1
-        artifact.meta = dict(artifact.meta, cached=True)
-        return artifact
+        return Artifact(artifact.kind, artifact.payload, artifact.key,
+                        dict(artifact.meta, cached=True))
 
     def put(self, key: str, artifact: Artifact) -> None:
-        blob = pickle.dumps(artifact)
-        self._memory[key] = blob
         entry = self._entry(key)
+        if artifact.kind in SHARED_KINDS:
+            # The store's own wrapper: the caller keeps its meta dict.
+            self._memory[key] = Artifact(artifact.kind, artifact.payload,
+                                         artifact.key, dict(artifact.meta))
+            blob = pickle.dumps(artifact) if entry is not None else b""
+        else:
+            blob = self._memory[key] = pickle.dumps(artifact)
         if entry is not None:
             # Atomic publish: readers see the old entry, no entry, or
             # the complete new one — never a partial write.  The temp

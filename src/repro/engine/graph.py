@@ -23,10 +23,12 @@ into parallel arrays indexed by node id:
   without changing any conflict outcome (see `GraphScheduler._conflicts`
   for the exactness argument).
 
-`SimGraph` is picklable — the eval thunks are rebuilt lazily after
-unpickling — so compiled graphs can live in the content-addressed
-`ArtifactStore` (kind ``"graph"``) and be reused across runs and sweep
-points that share a module, config, and profile.
+`SimGraph` is read-only under a run, so one graph is shared by every
+run and sweep point of a process that shares its module, config and
+profile: the content-addressed `ArtifactStore` (kind ``"graph"``) holds
+it decoded and hands the same object to every hit.  It is also
+picklable — the eval thunks are rebuilt lazily after unpickling — for
+the store's disk mirror.
 """
 
 from __future__ import annotations
@@ -278,7 +280,6 @@ class SimGraph:
 
     def __init__(self, iface: LLVMInterface) -> None:
         self.func_name = iface.func.name
-        self.key: Optional[str] = None  # set by BuildPipeline.graph()
         func = iface.func
         cdfg = iface.cdfg
         profile = iface.profile

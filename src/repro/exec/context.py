@@ -345,8 +345,8 @@ class SimContext:
         state["_ran"] = False
         # Caches/stores are owned by the parent process.  A prebuilt
         # module_input, however, *does* cross: `Module` pickles
-        # losslessly, and shipping it is exactly how compile-once
-        # sweeps avoid re-running the frontend in every worker.
+        # losslessly (its recorded fingerprint included), so the
+        # receiving process never re-runs the frontend.
         state["cache"] = None
         state["artifact_store"] = None
         # A bound watchdog instance holds engine references; ship the

@@ -14,10 +14,19 @@ construction:
   produces byte-identical `SweepPoint.record()` rows to ``workers=1``.
 
 With a `RunCache` attached, already-known points skip simulation
-entirely; only the misses are submitted to the pool.  The kernel is
-compiled *once per distinct (source, func, pipeline)* in the parent —
-see `repro.build` — and shipped to workers as a prebuilt `Module`, so
-adding sweep points never adds frontend work.
+entirely; only the misses are submitted to the pool.  A sweep point
+pays for its simulation and elaboration and for nothing another point
+already did:
+
+* the kernel is compiled *once per distinct (source, func, pipeline)*
+  in the parent — see `repro.build` — and the distinct `Module`s reach
+  each worker process once, through the pool initializer (under fork
+  they are not pickled at all); a submit carries only a module index;
+* each worker process (and the serial path, for one `run()`) keeps a
+  private in-memory `ArtifactStore` for its lifetime, so it lowers each
+  distinct datapath once and every later point runs on the same shared,
+  read-only `SimGraph`.  The user's ``artifact_store`` serves only the
+  parent's compile, and nothing outlives the sweep in the parent.
 
 Sweeps are *hardened*: a point that crashes, hangs (watchdog), or
 exceeds ``point_timeout`` yields a `SweepPoint` carrying a
@@ -109,40 +118,81 @@ def grid_points(param_grid: dict[str, Iterable]) -> list[dict]:
     ]
 
 
-def _execute_point(workload: Workload, acc_kwargs: dict, seed: int,
-                   verify: bool, max_ticks: Optional[int],
-                   trace: Optional[TraceConfig] = None,
-                   faults=None, watchdog=None,
-                   timeout_s: Optional[float] = None,
-                   module=None) -> dict:
-    """Worker body: one full SimContext lifecycle, returned as a payload dict.
+class _SweepWorker:
+    """The worker body of one sweep: its distinct kernels, its per-sweep
+    settings and a private in-memory `ArtifactStore`.
 
-    Runs in a pool process (or inline for the serial path — the same
-    code either way, which is what makes the two paths byte-identical).
-    ``module`` is the kernel IR prebuilt by the parent (compiled once
-    per distinct kernel and shipped across the pool), so workers never
-    run the frontend.  Failures come back as ``{"__failure__": ...}``
-    payloads rather than raised exceptions, so the parent never depends
-    on exception pickling; the per-point timeout is enforced *in the
-    worker* by a wall-clock watchdog, which works identically for both
-    paths.
-
-    The payload's transient ``__engine__`` sidecar carries per-point
-    provenance back to the parent; it is popped before the result dict
-    is cached or rehydrated.
+    The pool initializer installs one per worker process
+    (`_init_worker`); the serial path (and the fallback after a broken
+    pool) runs the parent's instance for one `ParallelSweep.run`.  Both
+    run every point through `run` — the same code either way, which is
+    what makes the two paths byte-identical.
     """
-    try:
-        ctx = SimContext(workload, seed=seed, verify=verify, max_ticks=max_ticks,
-                         trace=trace, faults=faults, watchdog=watchdog,
-                         timeout_s=timeout_s, module=module, **acc_kwargs)
-        payload = ctx.run().to_dict()
-        payload["__engine__"] = {
-            "engine_used": ctx.engine_used or "",
-            "fallback_reason": ctx.fallback_reason or "",
-        }
-        return payload
-    except Exception as exc:  # noqa: BLE001 - folded into a FailureRecord
-        return {"__failure__": FailureRecord.from_exception(exc).to_dict()}
+
+    def __init__(self, workload: Workload, modules: list, seed: int,
+                 verify: bool, max_ticks: Optional[int],
+                 trace: Optional[TraceConfig], watchdog,
+                 timeout_s: Optional[float]) -> None:
+        from repro.build.store import ArtifactStore
+
+        self.workload = workload
+        #: The distinct kernels, prebuilt by the parent, so workers
+        #: never run the frontend.
+        self.modules = modules
+        self.seed = seed
+        self.verify = verify
+        self.max_ticks = max_ticks
+        self.trace = trace
+        self.watchdog = watchdog
+        self.timeout_s = timeout_s
+        #: Lowers each datapath once; later points on it share the
+        #: `SimGraph`.
+        self.store = ArtifactStore()
+
+    def run(self, module_index: int, acc_kwargs: dict, faults) -> dict:
+        """One point: a full SimContext lifecycle, returned as a payload
+        dict.
+
+        Failures come back as ``{"__failure__": ...}`` payloads rather
+        than raised exceptions, so the parent never depends on
+        exception pickling; the per-point timeout is enforced *in the
+        worker* by a wall-clock watchdog, which works identically for
+        both paths.
+
+        The payload's transient ``__engine__`` sidecar carries
+        per-point provenance back to the parent; it is popped before
+        the result dict is cached or rehydrated.
+        """
+        try:
+            ctx = SimContext(self.workload, seed=self.seed,
+                             verify=self.verify, max_ticks=self.max_ticks,
+                             trace=self.trace, faults=faults,
+                             watchdog=self.watchdog, timeout_s=self.timeout_s,
+                             module=self.modules[module_index],
+                             artifact_store=self.store, **acc_kwargs)
+            payload = ctx.run().to_dict()
+            payload["__engine__"] = {
+                "engine_used": ctx.engine_used or "",
+                "fallback_reason": ctx.fallback_reason or "",
+            }
+            return payload
+        except Exception as exc:  # noqa: BLE001 - folded into a FailureRecord
+            return {"__failure__": FailureRecord.from_exception(exc).to_dict()}
+
+
+#: This pool process's worker body, installed by `_init_worker`.
+_worker: Optional[_SweepWorker] = None
+
+
+def _init_worker(worker: _SweepWorker) -> None:
+    """Pool initializer: runs once per worker process."""
+    global _worker
+    _worker = worker
+
+
+def _run_in_worker(module_index: int, acc_kwargs: dict, faults) -> dict:
+    """Pool task: one point on this process's `_SweepWorker`."""
+    return _worker.run(module_index, acc_kwargs, faults)
 
 
 @dataclass
@@ -179,6 +229,8 @@ class ParallelSweep:
     watchdog: object = None
     #: Content-addressed compile cache (`repro.build.ArtifactStore`):
     #: kernels already built by an earlier sweep/process are store hits.
+    #: It serves the parent's compile only; each worker lowers its
+    #: points' graphs through its own private store.
     artifact_store: object = None
     #: Pass-pipeline spec applied to every point's compile (string or
     #: `PipelineSpec`).  None = the standard preset driven by each
@@ -269,8 +321,11 @@ class ParallelSweep:
                     self.cache.put(key, point.result)
             notify(index)
 
-        modules = self._prebuild(workload, pending)
-        self._execute(workload, pending, seed, modules, resolve)
+        modules, module_of = self._prebuild(workload, pending)
+        worker = _SweepWorker(workload, modules, seed, self.verify,
+                              self.max_ticks, TraceConfig.coerce(self.trace),
+                              watchdog_spec(self.watchdog), self.point_timeout)
+        self._execute(worker, pending, module_of, resolve)
         if self.strict:
             for point in points:
                 if point.failure is not None:
@@ -285,32 +340,36 @@ class ParallelSweep:
                    self.retry_backoff_cap_s)
 
     # ------------------------------------------------------------------
-    def _prebuild(self, workload: Workload, pending: list) -> list:
-        """Compile each *distinct* kernel once; map every point to its IR.
+    def _prebuild(self, workload: Workload,
+                  pending: list) -> tuple[list, list[int]]:
+        """Compile each *distinct* kernel once.
 
-        Points differ in memory/datapath knobs far more often than in
-        compile-relevant ones, so a sweep usually holds one distinct
-        (source, func, pipeline) triple — compiled here, in the parent,
-        exactly once, and shipped to workers as a prebuilt `Module`.
-        This is what turns the sweep hot path from O(points × compile)
-        into O(distinct kernels).
+        Returns the distinct `Module`s and, per pending slot, the index
+        of its module.  Points differ in memory/datapath knobs far more
+        often than in compile-relevant ones, so a sweep usually holds
+        one distinct (source, func, pipeline) triple — compiled here, in
+        the parent, exactly once, and handed to each worker once.  This
+        is what turns the sweep hot path from O(points × compile) into
+        O(distinct kernels).
         """
         from repro.build.artifact import artifact_key
         from repro.build.pipeline import build_module, resolve_spec
 
-        by_key: dict[str, object] = {}
-        modules = []
+        index_of: dict[str, int] = {}
+        modules: list = []
+        module_of: list[int] = []
         for __, __, kwargs, __ in pending:
             spec = resolve_spec(self.pipeline,
                                 unroll_factor=kwargs.get("unroll_factor", 1))
             akey = artifact_key(workload.source, workload.func_name, spec)
-            if akey not in by_key:
-                by_key[akey] = build_module(
+            if akey not in index_of:
+                index_of[akey] = len(modules)
+                modules.append(build_module(
                     workload.source, workload.func_name, pipeline=spec,
                     store=self.artifact_store,
-                ).module
-            modules.append(by_key[akey])
-        return modules
+                ).module)
+            module_of.append(index_of[akey])
+        return modules, module_of
 
     def _plan_for(self, params: dict) -> Optional[FaultPlan]:
         """Resolve the sweep-level fault setting for one point."""
@@ -320,12 +379,16 @@ class ParallelSweep:
         plan = FaultPlan.coerce(faults)
         return plan if plan else None
 
-    def _execute(self, workload: Workload,
+    def _execute(self, worker: _SweepWorker,
                  pending: list[tuple[int, Optional[str], dict,
                                      Optional[FaultPlan]]],
-                 seed: int, modules: list,
+                 module_of: list[int],
                  resolve: Callable[[int, dict], None]) -> None:
         """Run the pending points, handing each payload to ``resolve``.
+
+        ``worker`` runs the serial path and the fallback in-process, and
+        the pool's initializer installs it in every pool process;
+        ``module_of[slot]`` indexes its modules.
 
         Pool crashes (a worker segfaults or is OOM-killed) don't discard
         the sweep: completed futures are harvested, only genuinely
@@ -337,8 +400,6 @@ class ParallelSweep:
         can observe the same future twice, so recording (not completion)
         is the notification point.
         """
-        trace = TraceConfig.coerce(self.trace)
-        wd_spec = watchdog_spec(self.watchdog)
         recorded: set[int] = set()
 
         def record(slot: int, payload: dict) -> None:
@@ -349,9 +410,7 @@ class ParallelSweep:
 
         def run_inline(slot: int) -> dict:
             __, __, kwargs, plan = pending[slot]
-            return _execute_point(workload, kwargs, seed, self.verify,
-                                  self.max_ticks, trace, plan, wd_spec,
-                                  self.point_timeout, modules[slot])
+            return worker.run(module_of[slot], kwargs, plan)
 
         if self.workers == 1 or len(pending) <= 1:
             for slot in range(len(pending)):
@@ -367,14 +426,12 @@ class ParallelSweep:
             futures: dict = {}
             resolve_error: Optional[OSError] = None
             try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                with ProcessPoolExecutor(max_workers=self.workers,
+                                         initializer=_init_worker,
+                                         initargs=(worker,)) as pool:
                     futures = {
-                        slot: pool.submit(
-                            _execute_point, workload, pending[slot][2], seed,
-                            self.verify, self.max_ticks, trace,
-                            pending[slot][3], wd_spec, self.point_timeout,
-                            modules[slot],
-                        )
+                        slot: pool.submit(_run_in_worker, module_of[slot],
+                                          pending[slot][2], pending[slot][3])
                         for slot in remaining
                     }
                     # Harvest in completion order so progress callbacks

@@ -151,6 +151,12 @@ class Function:
 class Module:
     """A compilation unit holding named functions."""
 
+    #: SHA-256 of the printed IR, recorded by the build pipeline's
+    #: optimize stage and returned by
+    #: `repro.build.artifact.module_fingerprint`; `PassManager.run`
+    #: clears it.  Pickles with the module.
+    fingerprint: Optional[str] = None
+
     def __init__(self, name: str = "module") -> None:
         self.name = name
         self.functions: dict[str, Function] = {}

@@ -49,6 +49,8 @@ class PassManager:
         return changed_any
 
     def run(self, module: Module) -> bool:
+        # The module is about to change: drop its recorded fingerprint.
+        module.fingerprint = None
         changed = False
         for func in module:
             changed |= self.run_function(func)

@@ -122,6 +122,47 @@ def test_corrupt_memory_entry_quarantined():
     assert KEY not in store._memory
 
 
+# -- graph entries: decoded once, shared by every hit -----------------------
+def _graph_artifact(store):
+    from repro.build import BuildPipeline, build_design
+
+    design = build_design(SRC, "axpy", pipeline="o1")
+    return BuildPipeline(store=store).graph(design)
+
+
+def test_graph_hits_share_one_payload():
+    store = ArtifactStore()
+    lowered = _graph_artifact(store)
+    first, second = store.get(lowered.key), store.get(lowered.key)
+    assert first.payload is lowered.payload
+    assert second.payload is lowered.payload
+    assert first.meta["cached"] is True
+    # A hit never touches the stored entry's (or the lowering's) meta.
+    first.meta["scribble"] = 1
+    assert "scribble" not in second.meta
+    assert "cached" not in lowered.meta
+
+
+def test_reopened_disk_store_serves_graph_hits(tmp_path):
+    lowered = _graph_artifact(ArtifactStore(tmp_path))
+    assert (tmp_path / f"{lowered.key}.art").exists()
+    reopened = ArtifactStore(tmp_path)
+    first, second = reopened.get(lowered.key), reopened.get(lowered.key)
+    assert reopened.hits == 2 and reopened.misses == 0
+    assert first.payload.n_nodes == lowered.payload.n_nodes
+    assert first.payload is second.payload  # decoded once
+
+
+def test_quarantined_graph_key_drops_decoded_entry(tmp_path):
+    store = ArtifactStore(tmp_path)
+    lowered = _graph_artifact(store)
+    assert lowered.key in store
+    store._quarantine(lowered.key, store._entry(lowered.key))
+    assert lowered.key not in store._memory
+    assert lowered.key not in store
+    assert (tmp_path / f"{lowered.key}.art.corrupt").exists()
+
+
 # -- artifact basics --------------------------------------------------------
 def test_unknown_artifact_kind_rejected():
     with pytest.raises(ValueError):

@@ -9,13 +9,15 @@ kernels).  These tests pin that down with the process-wide
 """
 
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.build import ArtifactStore
+from repro.build import ArtifactStore, build_module
 from repro.build.pipeline import STAGE_COUNTERS
 from repro.core.config import DeviceConfig
-from repro.exec import ParallelSweep, SimContext
+from repro.exec import ParallelSweep, SimContext, parallel
 from repro.exec.cache import run_cache_key
 from repro.workloads import get_workload
 
@@ -109,6 +111,69 @@ def test_parallel_and_serial_rows_byte_identical(workload):
     parallel = ParallelSweep(workers=4).run(workload, grid, _configure_ports,
                                             seed=7)
     assert _rows(parallel) == _rows(serial)
+
+
+# -- lowering once per datapath --------------------------------------------
+def _configure_datapath(params):
+    # ``fus`` shapes the datapath; ``ports`` and ``memory`` do not, so
+    # they never join the graph key.
+    return dict(
+        config=DeviceConfig(read_ports=params["ports"],
+                            write_ports=max(1, params["ports"] // 2),
+                            fu_limits={"fp_add": params["fus"],
+                                       "fp_mul": params["fus"]}),
+        memory=params["memory"], spm_bytes=1 << 15,
+    )
+
+
+def test_serial_sweep_lowers_once_per_datapath(workload):
+    grid = {"fus": [2, 8], "ports": [1, 4],
+            "memory": ["spm", "cache", "ideal"]}
+    points = ParallelSweep(workers=1).run(workload, grid, _configure_datapath,
+                                          seed=7)
+    assert len(points) == 12 and all(p.ok for p in points)
+    assert {p.engine_used for p in points} == {"graph"}
+    assert STAGE_COUNTERS.graph == len(grid["fus"])
+
+
+def test_pool_worker_body_lowers_once_per_datapath(workload, monkeypatch):
+    module = build_module(workload.source, workload.func_name).module
+    monkeypatch.setattr(parallel, "_worker", None)
+    parallel._init_worker(parallel._SweepWorker(
+        workload, [module], seed=7, verify=True, max_ticks=None, trace=None,
+        watchdog=None, timeout_s=None))
+    STAGE_COUNTERS.reset()
+    for fus in (2, 8):
+        for memory in ("spm", "cache"):
+            payload = parallel._run_in_worker(
+                0, _configure_datapath(
+                    {"fus": fus, "ports": 2, "memory": memory}), None)
+            assert "__failure__" not in payload
+    assert STAGE_COUNTERS.graph == 2
+    assert STAGE_COUNTERS.compiles() == 0
+
+
+def test_no_pool_submit_carries_a_module(workload, monkeypatch):
+    submitted, installed = [], []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            installed.append(kwargs["initargs"])
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(pickle.dumps((fn, args, kwargs)))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+    points = ParallelSweep(workers=2).run(
+        workload, {"ports": [1, 2, 4]}, _configure_ports, seed=7)
+    assert all(p.ok for p in points)
+    assert len(submitted) == 3
+    assert not any(b"repro.ir.module" in blob for blob in submitted)
+    # The one distinct kernel reaches the pool once, via its initializer.
+    ((worker,),) = installed
+    assert len(worker.modules) == 1
 
 
 # -- artifact store in sweeps ----------------------------------------------

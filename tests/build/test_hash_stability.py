@@ -86,3 +86,30 @@ def test_equivalent_specs_share_a_key():
             == artifact_key(SRC, "blend",
                             "inline,mem2reg,constfold,dce,unroll:4,"
                             "constfold,simplifycfg,dce"))
+
+
+# -- the fingerprint recorded by the optimize stage -------------------------
+def _printed_hash(module):
+    import hashlib
+
+    return hashlib.sha256(print_module(module).encode("utf-8")).hexdigest()
+
+
+def test_recorded_fingerprint_is_the_printed_text_hash():
+    module = build_module(SRC, "blend", pipeline=PIPELINE).module
+    assert module.fingerprint is not None
+    assert module_fingerprint(module) == _printed_hash(module)
+    # The record pickles with the module: a shipped or store-served
+    # copy answers without re-printing.
+    assert pickle.loads(pickle.dumps(module)).fingerprint == module.fingerprint
+
+
+def test_fingerprint_tracks_pass_manager_changes():
+    from repro.passes.pipeline import PipelineSpec
+
+    module = build_module(SRC, "blend", pipeline="mem2reg").module
+    before = module_fingerprint(module)
+    changed = PipelineSpec.parse("unroll:2,constfold,dce").to_pass_manager(
+        module=module).run(module)
+    assert changed
+    assert module_fingerprint(module) == _printed_hash(module) != before
