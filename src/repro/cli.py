@@ -402,9 +402,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     print(f"workload        : {workload.name} ({workload.description})")
     used = context.engine_used or "none (cache hit, no simulation ran)"
-    reason = context.fallback_reason
-    print(f"engine          : {used}"
-          + (f" (fallback: {reason})" if reason else ""))
+    print(f"engine          : {used}")
     if plan:
         print(f"faults injected : {len(plan.events)} event(s) armed "
               "(results bypass the run cache)")
@@ -613,36 +611,6 @@ def _print_submit_result(kind: str, result: dict) -> None:
         for diag in diags:
             print(f"  {diag.get('code')} [{diag.get('severity')}] "
                   f"{diag.get('message')}")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import check_bench, run_bench, write_bench
-
-    payload = run_bench(workloads=args.workloads, unroll=args.unroll,
-                        seed=args.seed, quick=args.quick,
-                        repeats=args.repeats, serve_jobs=args.serve_jobs)
-    path = write_bench(payload, args.out)
-    header = (f"{'workload':12s} {'cycles':>10s} {'dynamic':>10s} "
-              f"{'graph':>10s} {'speedup':>8s}  identical")
-    print(header)
-    print("-" * len(header))
-    for name, row in payload["workloads"].items():
-        print(f"{name:12s} {row['cycles']:>10d} "
-              f"{row['dynamic_wall_s']:>9.3f}s {row['graph_wall_s']:>9.3f}s "
-              f"{row['speedup']:>7.2f}x  "
-              f"{'yes' if row['identical_stats'] else 'NO'}")
-    serve = payload.get("serve")
-    if serve:
-        print(f"serve dedup     : {serve['jobs']} duplicate jobs in "
-              f"{serve['duplicate_wall_s']:.3f}s vs distinct in "
-              f"{serve['distinct_wall_s']:.3f}s "
-              f"({serve['dedup_speedup']:.1f}x, "
-              f"{serve['executed']} executed)")
-    print(f"wrote {path}")
-    failures = check_bench(payload, min_speedup=args.min_speedup)
-    for failure in failures:
-        print(f"bench FAILED    : {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -868,33 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--timeout", type=float, default=300.0,
                           help="seconds to wait for completion")
     p_submit.set_defaults(handler=cmd_submit)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the graph engine against the dynamic engine")
-    p_bench.add_argument("--workloads", nargs="+", metavar="NAME",
-                         help="workloads to measure (default: gemm "
-                              "stencil3d fft spmv)")
-    p_bench.add_argument("--unroll", type=int, default=4)
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--quick", action="store_true",
-                         help="smoke mode: only the first workload (CI)")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                         help="timed repetitions per engine; the minimum "
-                              "wall-clock is reported (default: 3)")
-    p_bench.add_argument("--out", metavar="FILE", default="BENCH_9.json",
-                         help="where to write the JSON record "
-                              "(default: BENCH_9.json)")
-    p_bench.add_argument("--serve-jobs", type=int, default=20, metavar="N",
-                         help="also bench the job server: N duplicate run "
-                              "jobs vs N distinct ones (0 disables; quick "
-                              "mode caps at 5)")
-    p_bench.add_argument("--min-speedup", type=float, default=0.0,
-                         metavar="RATIO",
-                         help="fail unless the graph engine reaches this "
-                              "speedup over dynamic on the first workload "
-                              "(CI uses 1.0)")
-    p_bench.set_defaults(handler=cmd_bench)
 
     return parser
 

@@ -4,7 +4,7 @@ Binds a statically elaborated `LLVMInterface` to a `RuntimeEngine` and
 a `CommInterface`.  The host launches it by writing argument MMRs and
 setting the START bit; a standalone harness calls :meth:`launch`
 directly.  Either way :meth:`launch` runs the requested backend (the
-graph-compiled `GraphScheduler` by default, unless lowering fails)
+graph-compiled `GraphScheduler` by default; every datapath lowers)
 and, on completion, the unit sets DONE and raises its interrupt.  Also
 collects the per-accelerator power report, combining datapath energy
 from the engine with SPM access energy from an (optional) private
@@ -70,13 +70,8 @@ class ComputeUnit(SimObject):
             clock=clock,
         )
         self.comm.on_start(self._launch)
-        #: Requested execution backend (`repro.engine.ENGINES`); a graph
-        #: launch falls back to the dynamic engine if lowering fails.
+        #: Execution backend of every launch (`repro.engine.ENGINES`).
         self.engine_request = engine
-        #: Engine that ran the most recent launch, and why it used the
-        #: event queue although the graph engine was requested.
-        self.engine_used: Optional[str] = None
-        self.fallback_reason: Optional[str] = None
         self.artifact_store = artifact_store
         self._graph = None
         self.private_spm: Optional[Scratchpad] = None
@@ -104,15 +99,9 @@ class ComputeUnit(SimObject):
     def launch(self, args: list, on_done: Optional[Callable[[], None]] = None) -> None:
         """Start one invocation with python argument values, on the
         requested engine."""
-        from repro.engine import GraphLoweringError, GraphScheduler
+        from repro.engine import GraphScheduler
 
-        graph = self.fallback_reason = None
-        if self.engine_request == "graph":
-            try:
-                graph = self.graph()
-            except GraphLoweringError as exc:
-                self.fallback_reason = f"lowering failed: {exc}"
-        self.engine_used = "dynamic" if graph is None else "graph"
+        graph = self.graph() if self.engine_request == "graph" else None
         self.invocations += 1
         self.launch_log.append((self.cur_tick, list(args)))
         done = self._done_callback(on_done)

@@ -76,6 +76,21 @@ class EngineError(RuntimeError):
     instruction, launch protocol violation)."""
 
 
+def trap_reason(inst: Instruction) -> Optional[str]:
+    """Why ``inst`` cannot execute on the datapath, or None if it can.
+
+    An alloca and a call that survived inlining are legal IR, so
+    elaboration and graph lowering accept them; both engines raise
+    ``EngineError(f"{engine name}: {reason}")`` when one issues."""
+    if isinstance(inst, Alloca):
+        return ("alloca reached the datapath; arrays must live in SPM/DRAM "
+                "and scalars should have been promoted by mem2reg")
+    if isinstance(inst, Call) and not inst.is_intrinsic:
+        return (f"call to '@{inst.callee}' survived inlining; accelerator "
+                "functions must be fully inlined")
+    return None
+
+
 _STATE_NAMES = {WAITING: "waiting", READY: "ready", ISSUED: "issued"}
 
 
@@ -662,19 +677,13 @@ class RuntimeEngine(SimObject):
             return vals[0]
         if isinstance(inst, Call):
             if not inst.is_intrinsic:
-                raise EngineError(
-                    f"{self.name}: call to '@{inst.callee}' survived inlining; "
-                    "accelerator functions must be fully inlined"
-                )
+                raise EngineError(f"{self.name}: {trap_reason(inst)}")
             args = [vals[i] for i in range(len(inst.operands))]
             return eval_intrinsic(inst.callee, inst.type, args)
         if isinstance(inst, (Branch, Ret)):
             return None
         if isinstance(inst, Alloca):
-            raise EngineError(
-                f"{self.name}: alloca reached the datapath; arrays must live in "
-                "SPM/DRAM and scalars should have been promoted by mem2reg"
-            )
+            raise EngineError(f"{self.name}: {trap_reason(inst)}")
         raise EngineError(f"{self.name}: cannot execute '{inst.opcode}'")
 
     def _branch_target(self, dyn: DynInst) -> BasicBlock:

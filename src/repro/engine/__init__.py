@@ -13,15 +13,16 @@ scheduler models a private SPM nothing else reaches or watches inline,
 drives any other memory through the real memctrl ports from a tick
 event on the system's event queue, orders strictly-ordered (stream)
 regions in its conflict scan, and honours the run's watchdog itself.
-Only a datapath the lowering rejects runs on the dynamic engine;
-``engine="dynamic"`` is the differential oracle.
+Lowering is total: an instruction the datapath cannot execute becomes
+a trap node that raises the dynamic engine's `EngineError` when it
+issues.  A run is on the dynamic engine only when ``engine="dynamic"``
+asks for it, as the differential oracle.
 """
 
 from __future__ import annotations
 
 from repro.engine.graph import (
     GRAPH_FORMAT_VERSION,
-    GraphLoweringError,
     SimGraph,
     compile_graph,
     graph_key,
@@ -34,7 +35,6 @@ ENGINES = ("dynamic", "graph")
 __all__ = [
     "ENGINES",
     "GRAPH_FORMAT_VERSION",
-    "GraphLoweringError",
     "GraphScheduler",
     "SimGraph",
     "compile_graph",

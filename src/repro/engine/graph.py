@@ -23,6 +23,11 @@ into parallel arrays indexed by node id:
   without changing any conflict outcome (see `GraphScheduler._conflicts`
   for the exactness argument).
 
+Lowering is total.  An instruction the datapath cannot execute (an
+alloca, a call that survived inlining) lowers to a *trap node* whose
+thunk raises when the node issues, the cycle at which the dynamic
+engine raises; a trap that never issues costs nothing.
+
 `SimGraph` is read-only under a run, so one graph is shared by every
 run and sweep point of a process that shares its module, config and
 profile: the content-addressed `ArtifactStore` (kind ``"graph"``) holds
@@ -39,9 +44,9 @@ from dataclasses import asdict
 from typing import Optional
 
 from repro.core.llvm_interface import LLVMInterface
+from repro.core.runtime import trap_reason
 from repro.hw.profile import FU_NONE
 from repro.ir.instructions import (
-    Alloca,
     BinaryOp,
     Branch,
     Call,
@@ -91,10 +96,17 @@ K_RET = 4
 K_OTHER = 5  # phi and other zero-latency wiring ops
 
 
-class GraphLoweringError(RuntimeError):
-    """The design cannot be lowered to a simulation graph (e.g. an
-    alloca or a non-inlined call in the datapath).  Callers fall back to
-    the dynamic engine, which reports the same condition at issue time."""
+class NodeTrap(Exception):
+    """Raised by a trap node's thunk when the node issues.  The graph is
+    shared by every unit, so the message lacks the engine's name:
+    `GraphScheduler.run` re-raises it as that engine's `EngineError`."""
+
+
+def _trap_eval(reason: str):
+    """Thunk of a node the datapath cannot execute (`trap_reason`)."""
+    def trap(v):
+        raise NodeTrap(reason)
+    return trap
 
 
 def _operand_descriptor(operand, node_ids: dict[int, int]):
@@ -110,7 +122,7 @@ def _operand_descriptor(operand, node_ids: dict[int, int]):
             # path — the dynamic engine binds such operands to 0.
             return (SRC_CONST, 0)
         return (SRC_NODE, producer)
-    raise GraphLoweringError(f"cannot lower operand {operand!r}")
+    raise TypeError(f"cannot lower operand {operand!r}")
 
 
 _M64 = (1 << 64) - 1
@@ -338,16 +350,6 @@ class SimGraph:
             node = cdfg.node_for(inst)
             assert node.index == nid
             self.produces_value[nid] = inst.produces_value
-            if isinstance(inst, Alloca):
-                raise GraphLoweringError(
-                    f"{self.func_name}: alloca reached the datapath; the "
-                    "dynamic engine rejects it at issue time"
-                )
-            if isinstance(inst, Call) and not inst.is_intrinsic:
-                raise GraphLoweringError(
-                    f"{self.func_name}: call to '@{inst.callee}' survived "
-                    "inlining"
-                )
 
             # Operand descriptors (same shapes as RuntimeEngine._operands_for).
             if isinstance(inst, Phi):
@@ -458,7 +460,10 @@ class SimGraph:
         """
         evals: list = [None] * self.n_nodes
         for nid, inst in enumerate(self.insts):
-            if isinstance(inst, BinaryOp):
+            reason = trap_reason(inst)
+            if reason is not None:
+                evals[nid] = _trap_eval(reason)
+            elif isinstance(inst, BinaryOp):
                 evals[nid] = _binop_eval(inst)
             elif isinstance(inst, ICmp):
                 evals[nid] = _icmp_eval(inst)
@@ -530,9 +535,9 @@ def graph_key(design) -> str:
 
 def compile_graph(design) -> SimGraph:
     """Lower an `ElaboratedDesign` (or bare `LLVMInterface`) to a
-    `SimGraph`.  Raises `GraphLoweringError` for datapaths the graph
-    backend cannot execute (alloca, non-inlined calls); callers fall
-    back to the dynamic engine."""
+    `SimGraph`.  Lowering is total: an alloca or a call that survived
+    inlining becomes a trap node, which raises the dynamic engine's
+    `EngineError` when it issues (see `trap_reason`)."""
     iface = design.iface if hasattr(design, "iface") else design
     if not isinstance(iface, LLVMInterface):
         raise TypeError(f"cannot compile {design!r} to a SimGraph")

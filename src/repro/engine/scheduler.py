@@ -32,10 +32,10 @@ list the ready heap and the memory window in the engine's format.
 
 The contract is **byte-identical stats**: every counter, float energy
 accumulation (same addition order, so no float drift), occupancy
-record, and memory image byte matches `RuntimeEngine` for any run the
-graph backend accepts.  Where the dynamic engine consults live objects
-(profile specs, CDFG nodes), this loop reads the flat arrays
-`compile_graph` precomputed.  Memory goes one of two ways:
+record, and memory image byte matches `RuntimeEngine`, and a run that
+issues a trap node fails with the same `EngineError` text.  Where the
+dynamic engine consults live objects (profile specs, CDFG nodes), this
+loop reads the flat arrays `compile_graph` precomputed.  Memory goes one of two ways:
 
 * **Inline model**, when the unit hands over its private SPM
   (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM, the
@@ -117,7 +117,15 @@ from repro.core.runtime import (
     inflight_line,
     inflight_lines,
 )
-from repro.engine.graph import K_BRANCH, K_COMPUTE, K_LOAD, K_RET, K_STORE, SimGraph
+from repro.engine.graph import (
+    K_BRANCH,
+    K_COMPUTE,
+    K_LOAD,
+    K_RET,
+    K_STORE,
+    NodeTrap,
+    SimGraph,
+)
 from repro.ir.semantics import bytes_to_value, value_to_bytes
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.sim.eventq import Event
@@ -189,12 +197,18 @@ class GraphScheduler:
         acyclic records (dyn lists, operand vectors, bucket entries);
         generation-0 collections are pure overhead on them, so the
         collector is paused while the loop runs and restored after.
+
+        A trap node that issues ends the run with the dynamic engine's
+        `EngineError` text: the engine's name is added here, outside
+        the loop, because the graph is shared by every unit.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             next(self._cycles, None)
+        except NodeTrap as trap:
+            raise EngineError(f"{self.engine.name}: {trap}") from None
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -192,16 +192,13 @@ class SimContext:
 
     @property
     def engine_used(self) -> Optional[str]:
-        """Engine that executed the last run (None before a run, or
-        when the result came straight from the run cache)."""
-        return self._acc.engine_used if self._acc is not None else None
-
-    @property
-    def fallback_reason(self) -> Optional[str]:
-        """Why the last run used the event queue although the graph
-        engine was requested (None when it ran on graph, or when
-        ``engine="dynamic"`` was asked for explicitly)."""
-        return self._acc.fallback_reason if self._acc is not None else None
+        """Engine that executed the last run: the context's ``engine``
+        once it has launched, None before a launch or when the result
+        came straight from the run cache."""
+        if (self.cache_hit or self._acc is None
+                or not self._acc.unit.invocations):
+            return None
+        return self.engine
 
     def cache_key(self) -> str:
         """Content hash of this context's configuration (workload mode)."""

@@ -66,12 +66,10 @@ class SweepPoint:
     params: dict
     result: Optional[RunResult] = None
     failure: Optional[FailureRecord] = None
-    #: Engine that actually produced the result ("dynamic"/"graph"),
-    #: "" when unknown (cache hits — no simulation ran).
+    #: Engine that simulated the point ("dynamic"/"graph"): its own
+    #: request; "" when no simulation produced a result (a cache hit or
+    #: a failure).
     engine_used: str = ""
-    #: Why this point used the event queue instead of the graph engine
-    #: ("" when it ran on graph, or no simulation ran).
-    fallback_reason: str = ""
 
     @property
     def ok(self) -> bool:
@@ -104,7 +102,6 @@ class SweepPoint:
             # Stable provenance columns: which engine produced the row,
             # so engine provenance survives into dse.reports.
             engine_used=self.engine_used,
-            fallback_reason=self.fallback_reason,
         )
         return row
 
@@ -158,10 +155,6 @@ class _SweepWorker:
         exception pickling; the per-point timeout is enforced *in the
         worker* by a wall-clock watchdog, which works identically for
         both paths.
-
-        The payload's transient ``__engine__`` sidecar carries
-        per-point provenance back to the parent; it is popped before
-        the result dict is cached or rehydrated.
         """
         try:
             ctx = SimContext(self.workload, seed=self.seed,
@@ -170,12 +163,7 @@ class _SweepWorker:
                              watchdog=self.watchdog, timeout_s=self.timeout_s,
                              module=self.modules[module_index],
                              artifact_store=self.store, **acc_kwargs)
-            payload = ctx.run().to_dict()
-            payload["__engine__"] = {
-                "engine_used": ctx.engine_used or "",
-                "fallback_reason": ctx.fallback_reason or "",
-            }
-            return payload
+            return ctx.run().to_dict()
         except Exception as exc:  # noqa: BLE001 - folded into a FailureRecord
             return {"__failure__": FailureRecord.from_exception(exc).to_dict()}
 
@@ -302,18 +290,13 @@ class ParallelSweep:
             pending.append((index, key, kwargs, plan))
 
         def resolve(slot: int, payload: dict) -> None:
-            index, key = pending[slot][:2]
+            index, key, kwargs = pending[slot][:3]
             point = points[index]
             failure_dict = payload.get("__failure__")
             if failure_dict is not None:
                 point.failure = FailureRecord.from_dict(failure_dict)
             else:
-                # The provenance sidecar never reaches the cache or the
-                # rehydrated result — cached entries stay byte-identical
-                # no matter which engine produced them.
-                info = payload.pop("__engine__", None) or {}
-                point.engine_used = info.get("engine_used", "")
-                point.fallback_reason = info.get("fallback_reason", "")
+                point.engine_used = kwargs.get("engine", "graph")
                 point.result = RunResult.from_dict(payload)
                 if key is not None:
                     # Stored before it is reported: a point `on_point`

@@ -300,16 +300,16 @@ class JobServer:
             raise HttpError(400, "spec must be a JSON object")
         if not self.verify:
             spec = dict(spec, verify=False)
-        fallback_reasons: list = []
-        key = job_dedup_key(kind, spec, on_fallback=fallback_reasons.append)
+        dedup_reasons: list = []
+        key = job_dedup_key(kind, spec, on_fallback=dedup_reasons.append)
         job = self.queue.submit(kind, spec,
                                 priority=int(body.get("priority", 0)),
                                 dedup_key=key)
-        if fallback_reasons:
+        if dedup_reasons:
             # The spec could not be keyed the content-addressed way —
             # say so on the job's own event log, so a silently
             # un-deduped submission is diagnosable after the fact.
-            job.publish("dedup_fallback", reason=fallback_reasons[0])
+            job.publish("dedup_fallback", reason=dedup_reasons[0])
         if job.deduped_of is not None:
             return 201, {"job": job.to_dict()}
         if kind == "run":
@@ -457,7 +457,7 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8333,
 
 
 class ServerHandle:
-    """A server running on a background thread (tests, bench, CI)."""
+    """A server running on a background thread (tests)."""
 
     def __init__(self, server: JobServer, thread: threading.Thread,
                  port: int) -> None:

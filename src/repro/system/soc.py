@@ -49,13 +49,6 @@ class RunResult:
     trace_summary: Optional[dict] = None
     #: `AccessSanitizer.summary()` when the run was sanitized.
     sanitizer: Optional[dict] = None
-    #: Transient provenance: which engine produced this result and why it
-    #: used the event queue.  Deliberately *not* serialized — cached entries
-    #: must stay byte-identical no matter which engine produced them
-    #: (`run_cache_key` excludes the engine), so provenance never
-    #: round-trips through `to_dict`/`from_dict`.
-    engine_used: Optional[str] = field(default=None, compare=False)
-    fallback_reason: Optional[str] = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         """Lossless JSON-safe representation (see `repro.exec.cache`)."""
@@ -116,11 +109,6 @@ class StandaloneAccelerator:
         if memory not in ("spm", "cache", "ideal"):
             raise ValueError(f"unknown memory configuration '{memory}'")
         self.memory = memory
-        #: Engine that actually executed the most recent run().
-        self.engine_used: Optional[str] = None
-        #: Why the most recent run used the event queue although the
-        #: graph engine was requested (None otherwise).
-        self.fallback_reason: Optional[str] = None
         self.config = config or DeviceConfig()
         if memory == "ideal":
             self.config.ideal_memory = True
@@ -234,8 +222,6 @@ class StandaloneAccelerator:
             done["flag"] = True
 
         self.unit.launch(args, on_done=on_done)
-        self.engine_used = self.unit.engine_used
-        self.fallback_reason = self.unit.fallback_reason
         self.system.run(max_tick=max_ticks, watchdog=watchdog)
         if not done["flag"]:
             raise RuntimeError(
@@ -251,8 +237,6 @@ class StandaloneAccelerator:
             occupancy=engine.occupancy,
             fu_counts=dict(self.unit.iface.cdfg.fu_counts),
             stats=self.system.dump_stats(),
-            engine_used=self.engine_used,
-            fallback_reason=self.fallback_reason,
         )
 
 

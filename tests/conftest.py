@@ -31,6 +31,22 @@ def system():
     return System("testsys", clock_freq_hz=1e9)
 
 
+@pytest.fixture
+def launched(monkeypatch):
+    """The backend each launch started, in order: ``"graph"`` for a
+    `GraphScheduler`, ``"dynamic"`` for the `RuntimeEngine` event queue."""
+    from repro.core.runtime import RuntimeEngine
+    from repro.engine import GraphScheduler
+
+    started = []
+    for cls, name in ((GraphScheduler, "graph"), (RuntimeEngine, "dynamic")):
+        def start(self, *args, _start=cls.start, _name=name, **kwargs):
+            started.append(_name)
+            return _start(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "start", start)
+    return started
+
+
 AXPY_SRC = """
 void axpy(double x[8], double y[8]) {
   for (int i = 0; i < 8; i++) { y[i] = 2.0 * x[i] + y[i]; }

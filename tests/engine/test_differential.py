@@ -28,8 +28,7 @@ def _run_pair(name, unroll=1, **kwargs):
     dynamic = dynamic_ctx.run()
     ctx = _context(name, "graph", unroll, **kwargs)
     graph = ctx.run()
-    assert ctx.engine_used == "graph", (
-        f"graph request fell back: {ctx.fallback_reason}")
+    assert ctx.engine_used == "graph"
     # Simulated time ends at the same tick, trailing memory events included.
     assert (ctx.accelerator.system.cur_tick
             == dynamic_ctx.accelerator.system.cur_tick)

@@ -20,7 +20,7 @@ def _launch_mid_cycle(engine, memory):
         period // 2, name="mid-cycle launch")
     acc.system.run()
     assert done, "kernel did not finish"
-    assert unit.engine_used == engine
+    assert unit.engine_request == engine
     return unit.engine.total_cycles, done[0], acc.system.cur_tick
 
 

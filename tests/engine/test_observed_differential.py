@@ -50,7 +50,6 @@ def test_observed_graph_run_matches_dynamic(plan, memory, sanitize):
     dynamic_ctx, dynamic = _run("dynamic", memory, plan, sanitize)
     ctx, graph = _run("graph", memory, plan, sanitize)
     assert ctx.engine_used == "graph"
-    assert ctx.fallback_reason is None
     assert ctx.fault_injector.injected  # the fault fired
     assert ctx.fault_injector.injected == dynamic_ctx.fault_injector.injected
     assert graph == dynamic

@@ -51,8 +51,8 @@ def _snapshot(result) -> str:
 def test_scenario_graph_matches_dynamic(name, seed):
     dynamic = SCENARIOS[name](seed=seed, engine="dynamic")
     graph = SCENARIOS[name](seed=seed)  # graph is the default
-    assert [unit.engine_used for unit in _units(dynamic)] == ["dynamic"] * 3
-    assert [unit.engine_used for unit in _units(graph)] == ["graph"] * 3
+    assert [unit.engine_request for unit in _units(dynamic)] == ["dynamic"] * 3
+    assert [unit.engine_request for unit in _units(graph)] == ["graph"] * 3
     assert graph.verified
     assert _snapshot(graph) == _snapshot(dynamic)
 
@@ -64,6 +64,6 @@ def test_sanitized_scenario_stays_on_graph(name):
     dynamic = SCENARIOS[name](seed=7, sanitizer=AccessSanitizer(),
                               engine="dynamic")
     graph = SCENARIOS[name](seed=7, sanitizer=AccessSanitizer())
-    assert [unit.engine_used for unit in _units(graph)] == ["graph"] * 3
+    assert [unit.engine_request for unit in _units(graph)] == ["graph"] * 3
     assert graph.sanitizer == dynamic.sanitizer
     assert _snapshot(graph) == _snapshot(dynamic)

@@ -99,6 +99,18 @@ def test_context_uses_cache():
     assert cache.hits == 2
 
 
+def test_engine_used_is_none_after_a_cache_hit_on_a_reused_context():
+    ctx = _gemm_context(cache=RunCache())
+    assert ctx.engine_used is None  # nothing launched yet
+    ctx.run()
+    assert (ctx.cache_hit, ctx.engine_used) == (False, "graph")
+    ctx.run()
+    # The second run is served from the cache: nothing was simulated,
+    # although the first run's system is still built.
+    assert ctx.accelerator is not None
+    assert (ctx.cache_hit, ctx.engine_used) == (True, None)
+
+
 # -- Simulation wrapper ------------------------------------------------------
 def test_simulation_runs_and_resets():
     system = System("sim.test")

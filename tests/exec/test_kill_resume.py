@@ -28,7 +28,7 @@ GRID = {"ports": [1, 2, 4, 8]}
 
 #: Provenance columns record what ran *this invocation* (a cache hit
 #: runs nothing, so engine_used is "" by design).
-PROVENANCE = ("engine_used", "fallback_reason")
+PROVENANCE = ("engine_used",)
 
 #: The victim: the same sweep as `_sweep`, killed after ``k`` points.
 VICTIM = """

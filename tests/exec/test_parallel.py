@@ -31,7 +31,7 @@ def _configure(params):
 #: Provenance columns record what ran *this invocation* (a cache hit
 #: runs nothing, so engine_used is "" by design); byte-identity is
 #: asserted over the result columns.
-PROVENANCE = ("engine_used", "fallback_reason")
+PROVENANCE = ("engine_used",)
 
 
 def _rows(points):
@@ -95,7 +95,6 @@ def test_cached_parallel_sweep_records_match_serial():
                 "stall_fraction", "issue_fraction") + PROVENANCE:
         assert key in record
     assert record["engine_used"] == "graph"
-    assert record["fallback_reason"] == ""
 
 
 def test_sweep_records_graph_and_memory_fallback_per_point():
@@ -103,15 +102,26 @@ def test_sweep_records_graph_and_memory_fallback_per_point():
     points = ParallelSweep().run(workload,
                                  {"memory": ["spm", "cache"], "unroll": [1]},
                                  _configure, seed=7)
-    assert [(p.engine_used, p.fallback_reason) for p in points] == [
-        ("graph", ""),
-        ("graph", ""),
-    ]
+    assert [p.engine_used for p in points] == ["graph", "graph"]
     watched = ParallelSweep(watchdog=True).run(
         workload, HALF_GRID, _configure, seed=7)
-    assert [(p.engine_used, p.fallback_reason) for p in watched] == [
-        ("graph", ""),
-    ]
+    assert [p.engine_used for p in watched] == ["graph"]
+
+
+def test_sweep_engine_column_is_the_points_request():
+    workload = get_workload("gemm_dse")
+    cache = RunCache()
+
+    def configure(params):
+        return dict(_configure(params), engine=params["engine"])
+
+    grid = {"memory": ["spm"], "unroll": [1], "engine": ["dynamic", "graph"]}
+    ran = ParallelSweep(cache=cache).run(workload, grid, configure, seed=7)
+    assert [p.engine_used for p in ran] == ["dynamic", "graph"]
+    hits = ParallelSweep(cache=cache).run(workload, grid, configure, seed=7)
+    assert [p.engine_used for p in hits] == ["", ""]
+    failed = ParallelSweep(max_ticks=1).run(workload, grid, configure, seed=7)
+    assert [(p.ok, p.engine_used) for p in failed] == [(False, "")] * 2
 
 
 # -- resume from the run cache -----------------------------------------------

@@ -45,7 +45,6 @@ def test_sanitize_forces_dynamic_engine():
     ctx = _ctx(sanitize=True, engine="graph")
     result = ctx.run()
     assert ctx.engine_used == "graph"
-    assert ctx.fallback_reason is None
     assert ctx.accelerator.unit.inline_spm() is None
     assert result.sanitizer["num_records"] > 0
     dynamic = _ctx(sanitize=True, engine="dynamic").run()

@@ -227,7 +227,7 @@ def test_sweep_job_resumes_from_state_dir_run_cache(tmp_path):
 
     def result_columns(rows):
         return [{k: v for k, v in row.items()
-                 if k not in ("engine_used", "fallback_reason")}
+                 if k != "engine_used"}
                 for row in rows]
 
     first = sweep()
