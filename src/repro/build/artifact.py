@@ -15,13 +15,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.core.config import DeviceConfig
+from repro.core.cdfg import ELABORATION_FORMAT_VERSION
 from repro.core.llvm_interface import LLVMInterface
-from repro.hw.profile import HardwareProfile
 from repro.ir.module import Module
 
 #: Stage products, in pipeline order.
-ARTIFACT_KINDS = ("ast", "ir", "opt-ir", "design", "graph")
+ARTIFACT_KINDS = ("ast", "ir", "opt-ir", "elaboration", "design", "graph")
 
 
 def module_fingerprint(module: Module) -> str:
@@ -60,6 +59,21 @@ def artifact_key(source: str, name: str, pipeline) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def elaboration_key(module: Module, func_name: str,
+                    fu_limits: Optional[dict] = None) -> str:
+    """Content address of one `ElaborationRecord`: everything static
+    elaboration reads — the module text (via `module_fingerprint`), the
+    function, the FU limits — plus the record's format version."""
+    payload = {
+        "version": ELABORATION_FORMAT_VERSION,
+        "module": module_fingerprint(module),
+        "func": func_name,
+        "fu_limits": dict(fu_limits or {}),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return f"elaboration:{hashlib.sha256(blob.encode('utf-8')).hexdigest()}"
 
 
 @dataclass
@@ -108,20 +122,6 @@ class ElaboratedDesign:
 
     def __init__(self, iface: LLVMInterface) -> None:
         self.iface = iface
-
-    @classmethod
-    def elaborate(
-        cls,
-        module: Module,
-        func_name: str,
-        profile: Optional[HardwareProfile] = None,
-        config: Optional[DeviceConfig] = None,
-    ) -> "ElaboratedDesign":
-        from repro.hw.default_profile import default_profile
-
-        config = config or DeviceConfig()
-        profile = profile or default_profile(config.cycle_time_ns)
-        return cls(LLVMInterface(module, func_name, profile, config))
 
     # -- convenience views -------------------------------------------------
     @property

@@ -11,7 +11,8 @@ stages:
 * ``optimize``  — raw `Module` -> optimized `Module`, driven by a
   declarative `PipelineSpec` ("mem2reg,unroll:4,constfold,dce")
 * ``elaborate`` — optimized `Module` -> `ElaboratedDesign`
-  (`LLVMInterface`: CDFG, FU mapping, static power/area)
+  (`LLVMInterface`: CDFG, FU mapping, static power/area); store-aware,
+  so each distinct datapath elaborates once per store
 
 `build_module` is the shared compile entry point every consumer routes
 through (CLI, `StandaloneAccelerator`, `SimContext`, `Workload.build`,
@@ -32,10 +33,13 @@ from repro.build.artifact import (
     Artifact,
     ElaboratedDesign,
     artifact_key,
+    elaboration_key,
     module_fingerprint,
 )
 from repro.build.store import ArtifactStore
+from repro.core.cdfg import elaborate_function
 from repro.core.config import DeviceConfig
+from repro.core.llvm_interface import LLVMInterface
 from repro.hw.profile import HardwareProfile
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
@@ -165,13 +169,40 @@ class BuildPipeline:
         profile: Optional[HardwareProfile] = None,
         config: Optional[DeviceConfig] = None,
     ) -> Artifact:
-        """Stage 4: optimized module -> statically elaborated design."""
+        """Stage 4: optimized module -> statically elaborated design.
+
+        The only way a unit elaborates (`ComputeUnit` calls it).
+        Store-aware: the FU mapping is an identity-free
+        `ElaborationRecord` keyed by `elaboration_key` (module
+        fingerprint, function, FU limits, format version).  A store hit
+        shares the store's read-only record, so every unit of a sweep
+        process on one datapath elaborates once, whichever private copy
+        of the module it holds; the design itself (profile, latencies,
+        static power/area) is rebuilt per call and is O(FU classes).
+        """
         module = opt_ir.module if isinstance(opt_ir, Artifact) else opt_ir
-        start = time.perf_counter()
-        design = ElaboratedDesign.elaborate(module, func_name,
-                                            profile=profile, config=config)
-        self._record("elaborate", time.perf_counter() - start,
-                     func_name=func_name)
+        config = config or DeviceConfig()
+        config.validate()
+        func = module.get_function(func_name)
+        cached = None
+        if self.store is not None:
+            key = elaboration_key(module, func_name, config.fu_limits)
+            cached = self.store.get(key)
+        if cached is not None:
+            record = cached.payload
+        else:
+            start = time.perf_counter()
+            record = elaborate_function(func, config.fu_limits)
+            self._record("elaborate", time.perf_counter() - start,
+                         func_name=func_name)
+            if self.store is not None:
+                self.store.put(key, Artifact("elaboration", record, key=key))
+        if profile is None:
+            from repro.hw.default_profile import default_profile
+
+            profile = default_profile(config.cycle_time_ns)
+        design = ElaboratedDesign(
+            LLVMInterface(module, func_name, profile, config, record))
         meta = dict(opt_ir.meta) if isinstance(opt_ir, Artifact) else {}
         meta["func_name"] = func_name
         return Artifact("design", design, meta=meta)

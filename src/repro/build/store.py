@@ -14,15 +14,18 @@ bytes, stale class layout) is renamed to ``<key>.art.corrupt`` and
 treated as a miss instead of poisoning later builds.
 
 Two kinds of entry are held differently in memory.  A module (any
-non-graph artifact) is held as its pickled bytes and every hit
-rehydrates from them, so callers can never mutate a stored module in
-place — each hit is a private copy.  A lowered `SimGraph` is
-read-only under a run (`tests/engine/test_graph_readonly.py`), so a
-graph entry is held decoded and every hit shares the one `SimGraph`:
-no unpickle and no rebuild of its eval thunks per hit.  Graphs are
-pickled only for the disk mirror.  Every hit gets its own `Artifact`
-wrapper and ``meta`` dict, so marking a hit ``cached`` never touches
-the stored entry.
+artifact not in `SHARED_KINDS`) is held as its pickled bytes and every
+hit rehydrates from them, so callers can never mutate a stored module
+in place — each hit is a private copy.  A lowered `SimGraph` and an
+`ElaborationRecord` are read-only under a run
+(`tests/engine/test_graph_readonly.py`), so they are held decoded and
+every hit shares the one object: no unpickle and, for a graph, no
+rebuild of its eval thunks per hit.  The record holds no IR (it is
+keyed by module content, and each unit pairs it with its own module's
+instructions), so sharing it across private module copies is safe.
+Shared kinds are pickled only for the disk mirror.  Every hit gets its
+own `Artifact` wrapper and ``meta`` dict, so marking a hit ``cached``
+never touches the stored entry.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional, Union
 from repro.build.artifact import Artifact
 
 #: Artifact kinds held decoded in memory and shared by every hit.
-SHARED_KINDS = ("graph",)
+SHARED_KINDS = ("elaboration", "graph")
 
 
 class ArtifactStore:

@@ -5,11 +5,15 @@ skeleton of the datapath where every instruction is a :class:`StaticNode`
 linked to its virtual functional unit and the register that will hold
 its result.  The dynamic runtime engine instantiates this skeleton
 block-by-block at runtime (the paper's dual-CDFG approach).
+
+Elaboration itself (`elaborate_function`) yields an identity-free
+`ElaborationRecord`, which the build pipeline's elaborate stage keeps
+in the artifact store, one per (module content, function, FU limits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.profile import FU_NONE, fu_class_for
@@ -57,57 +61,136 @@ class StaticNode:
         return self.fu_class != FU_NONE
 
 
-class StaticCDFG:
-    """The statically elaborated skeleton of one accelerator function."""
+#: Bump when `ElaborationRecord`'s layout or `elaborate_function`'s
+#: mapping rules change; it joins every elaboration store key.
+ELABORATION_FORMAT_VERSION = 1
 
-    def __init__(self, func: Function, fu_limits: Optional[dict[str, int]] = None) -> None:
+
+@dataclass(frozen=True)
+class ElaborationRecord:
+    """What static elaboration computes, with no reference to the IR.
+
+    The per-instruction tuples are in program order over
+    ``func.blocks``.  The record depends only on the function's content
+    and the FU limits, so the artifact store shares one read-only record
+    between every unit whose module has the same fingerprint, however
+    many private copies of that module there are (`StaticCDFG` pairs it
+    with each caller's own instructions).
+    """
+
+    fu_class: tuple[str, ...]
+    fu_instance: tuple[Optional[int], ...]
+    result_bits: tuple[int, ...]
+    #: Instantiated units per class (after applying limits).
+    fu_counts: dict[str, int]
+    static_op_counts: dict[str, int]
+    register_bits: int
+
+
+def elaborate_function(
+    func: Function, fu_limits: Optional[dict[str, int]] = None
+) -> ElaborationRecord:
+    """Map every instruction to its FU class, FU instance and register
+    width: the one place static elaboration happens."""
+    fu_limits = fu_limits or {}
+    fu_class: list[str] = []
+    fu_instance: list[Optional[int]] = []
+    result_bits: list[int] = []
+    static_op_counts: dict[str, int] = {}
+    dedicated_counter: dict[str, int] = {}
+    for inst in func.instructions():
+        cls = fu_class_for(inst)
+        instance: Optional[int] = None
+        if cls != FU_NONE:
+            static_op_counts[cls] = static_op_counts.get(cls, 0) + 1
+            if cls not in fu_limits:
+                # Default: dedicated unit per static instruction.
+                instance = dedicated_counter.get(cls, 0)
+                dedicated_counter[cls] = instance + 1
+        fu_class.append(cls)
+        fu_instance.append(instance)
+        result_bits.append(inst.type.bit_width() if inst.produces_value else 0)
+    # Instantiated FU counts: limit if constrained, else 1-to-1.
+    fu_counts = {}
+    for cls, static_count in static_op_counts.items():
+        limit = fu_limits.get(cls)
+        fu_counts[cls] = (min(limit, static_count) if limit is not None
+                          else static_count)
+    return ElaborationRecord(
+        fu_class=tuple(fu_class),
+        fu_instance=tuple(fu_instance),
+        result_bits=tuple(result_bits),
+        fu_counts=fu_counts,
+        static_op_counts=static_op_counts,
+        register_bits=sum(result_bits),
+    )
+
+
+class StaticCDFG:
+    """The statically elaborated skeleton of one accelerator function.
+
+    Built from an `ElaborationRecord` (computed here when none is
+    given).  The per-instruction views — ``nodes``, ``blocks`` and
+    `node_for` — are built on first use by pairing this function's own
+    instructions with the record, so they always reference the caller's
+    module.  Only graph lowering and the dynamic engine read them; a
+    unit whose graph is a store hit never builds them.
+    """
+
+    def __init__(
+        self,
+        func: Function,
+        fu_limits: Optional[dict[str, int]] = None,
+        record: Optional[ElaborationRecord] = None,
+    ) -> None:
         self.func = func
         self.fu_limits = dict(fu_limits or {})
-        self.nodes: dict[Instruction, StaticNode] = {}
-        self.blocks: dict[str, list[StaticNode]] = {}
-        # fu_counts: instantiated units per class (after applying limits).
-        self.fu_counts: dict[str, int] = {}
-        self.static_op_counts: dict[str, int] = {}
-        self.register_bits = 0
-        self._elaborate()
+        self.record = (record if record is not None
+                       else elaborate_function(func, self.fu_limits))
+        self.fu_counts = dict(self.record.fu_counts)
+        self.static_op_counts = dict(self.record.static_op_counts)
+        self.register_bits = self.record.register_bits
+        self._nodes: Optional[dict[Instruction, StaticNode]] = None
+        self._blocks: Optional[dict[str, list[StaticNode]]] = None
 
-    def _elaborate(self) -> None:
-        dedicated_counter: dict[str, int] = {}
+    @property
+    def nodes(self) -> dict[Instruction, StaticNode]:
+        if self._nodes is None:
+            self._bind()
+        return self._nodes
+
+    @property
+    def blocks(self) -> dict[str, list[StaticNode]]:
+        if self._blocks is None:
+            self._bind()
+        return self._blocks
+
+    def _bind(self) -> None:
+        record = self.record
+        if self.func.instruction_count() != len(record.fu_class):
+            raise ValueError(
+                f"elaboration record of {len(record.fu_class)} instructions "
+                f"does not fit '{self.func.name}' "
+                f"({self.func.instruction_count()} instructions)"
+            )
+        nodes: dict[Instruction, StaticNode] = {}
+        blocks: dict[str, list[StaticNode]] = {}
         index = 0
         for block in self.func.blocks:
             node_list: list[StaticNode] = []
             for inst in block.instructions:
-                fu_class = fu_class_for(inst)
-                result_bits = (
-                    inst.type.bit_width() if inst.produces_value else 0
-                )
-                fu_instance: Optional[int] = None
-                if fu_class != FU_NONE:
-                    self.static_op_counts[fu_class] = (
-                        self.static_op_counts.get(fu_class, 0) + 1
-                    )
-                    if fu_class not in self.fu_limits:
-                        # Default: dedicated unit per static instruction.
-                        fu_instance = dedicated_counter.get(fu_class, 0)
-                        dedicated_counter[fu_class] = fu_instance + 1
                 node = StaticNode(
                     inst=inst,
                     index=index,
-                    fu_class=fu_class,
-                    fu_instance=fu_instance,
-                    result_bits=result_bits,
+                    fu_class=record.fu_class[index],
+                    fu_instance=record.fu_instance[index],
+                    result_bits=record.result_bits[index],
                 )
-                self.nodes[inst] = node
+                nodes[inst] = node
                 node_list.append(node)
-                self.register_bits += result_bits
                 index += 1
-            self.blocks[block.name] = node_list
-        # Instantiated FU counts: limit if constrained, else 1-to-1.
-        for fu_class, static_count in self.static_op_counts.items():
-            limit = self.fu_limits.get(fu_class)
-            self.fu_counts[fu_class] = (
-                min(limit, static_count) if limit is not None else static_count
-            )
+            blocks[block.name] = node_list
+        self._nodes, self._blocks = nodes, blocks
 
     # ------------------------------------------------------------------
     def node_for(self, inst: Instruction) -> StaticNode:
@@ -117,7 +200,7 @@ class StaticCDFG:
         return self.blocks[block.name]
 
     def total_instructions(self) -> int:
-        return len(self.nodes)
+        return len(self.record.fu_class)
 
     def summary(self) -> dict:
         return {

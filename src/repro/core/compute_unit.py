@@ -1,6 +1,7 @@
 """Compute Unit: the accelerator datapath SimObject (Sec. III-D1).
 
-Binds a statically elaborated `LLVMInterface` to a `RuntimeEngine` and
+Binds a statically elaborated `LLVMInterface` — elaborated through the
+build pipeline's store-aware elaborate stage — to a `RuntimeEngine` and
 a `CommInterface`.  The host launches it by writing argument MMRs and
 setting the START bit; a standalone harness calls :meth:`launch`
 directly.  Either way :meth:`launch` runs the requested backend (the
@@ -17,7 +18,6 @@ from typing import Callable, Optional
 
 from repro.core.comm_interface import CommInterface
 from repro.core.config import DeviceConfig
-from repro.core.llvm_interface import LLVMInterface
 from repro.core.runtime import RuntimeEngine
 from repro.hw.power import AreaReport, PowerReport
 from repro.hw.profile import HardwareProfile
@@ -53,7 +53,15 @@ class ComputeUnit(SimObject):
         if clock is None and self.config.clock_freq_hz:
             clock = ClockDomain(f"{name}.clk", self.config.clock_freq_hz)
             self.clock = clock
-        self.iface = LLVMInterface(module, func_name, profile, self.config)
+        from repro.build.pipeline import BuildPipeline
+
+        #: Elaborates now and lowers on the first graph launch, through
+        #: ``artifact_store`` when given: once per datapath per store.
+        self._stages = BuildPipeline(store=artifact_store)
+        #: The `ElaboratedDesign` from the build pipeline's elaborate stage.
+        self.design = self._stages.elaborate(
+            module, func_name, profile=profile, config=self.config).payload
+        self.iface = self.design.iface
         self.comm = CommInterface(
             f"{name}.comm",
             system,
@@ -72,7 +80,6 @@ class ComputeUnit(SimObject):
         self.comm.on_start(self._launch)
         #: Execution backend of every launch (`repro.engine.ENGINES`).
         self.engine_request = engine
-        self.artifact_store = artifact_store
         self._graph = None
         self.private_spm: Optional[Scratchpad] = None
         self._run_callbacks: list[Callable[[], None]] = []
@@ -114,11 +121,7 @@ class ComputeUnit(SimObject):
         """The datapath's `SimGraph`, lowered once through the build
         pipeline's graph stage (and the artifact store, when given)."""
         if self._graph is None:
-            from repro.build.artifact import ElaboratedDesign
-            from repro.build.pipeline import BuildPipeline
-
-            stage = BuildPipeline(store=self.artifact_store)
-            self._graph = stage.graph(ElaboratedDesign(self.iface)).payload
+            self._graph = self._stages.graph(self.design).payload
         return self._graph
 
     def inline_spm(self) -> Optional[Scratchpad]:

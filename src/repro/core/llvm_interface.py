@@ -5,13 +5,19 @@ profile, and the device config; extracts the static CDFG; maps
 instructions to virtual functional units and registers; and produces
 the static power/area baseline.  The resulting object parameterizes
 both the runtime engine and the power model.
+
+The FU mapping itself comes from an `ElaborationRecord`: the build
+pipeline's elaborate stage (`BuildPipeline.elaborate`) looks it up in
+the artifact store or computes it and hands it in, so a unit never
+repeats an elaboration the store already holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.core.cdfg import StaticCDFG
+from repro.core.cdfg import ElaborationRecord, StaticCDFG
 from repro.core.config import DeviceConfig
 from repro.hw.power import AreaReport
 from repro.hw.profile import HardwareProfile
@@ -29,7 +35,12 @@ class StaticMetrics:
 
 
 class LLVMInterface:
-    """Statically elaborated accelerator model."""
+    """Statically elaborated accelerator model.
+
+    ``record`` is the function's `ElaborationRecord` for
+    ``config.fu_limits``; without one the CDFG elaborates the function
+    itself, with the same `repro.core.cdfg.elaborate_function`.
+    """
 
     def __init__(
         self,
@@ -37,13 +48,15 @@ class LLVMInterface:
         func_name: str,
         profile: HardwareProfile,
         config: DeviceConfig,
+        record: Optional[ElaborationRecord] = None,
     ) -> None:
         config.validate()
         self.module = module
         self.func: Function = module.get_function(func_name)
         self.profile = profile
         self.config = config
-        self.cdfg = StaticCDFG(self.func, fu_limits=config.fu_limits)
+        self.cdfg = StaticCDFG(self.func, fu_limits=config.fu_limits,
+                               record=record)
         self.static = self._static_metrics()
 
     # ------------------------------------------------------------------

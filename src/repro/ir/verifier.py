@@ -36,6 +36,7 @@ def verify_function(func: Function, module: Module | None = None) -> None:
 
 def _check_blocks(func: Function) -> None:
     names = set()
+    blocks = set(func.blocks)
     for block in func.blocks:
         if block.name in names:
             raise VerifierError(f"{func.name}: duplicate block name '{block.name}'")
@@ -65,7 +66,7 @@ def _check_blocks(func: Function) -> None:
                     f"got {cond.type}"
                 )
             for target in term.targets():
-                if target not in func.blocks:
+                if target not in blocks:
                     raise VerifierError(
                         f"{func.name}.{block.name}: branch to foreign block '{target.name}'"
                     )

@@ -11,7 +11,7 @@ Three cleanups that matter after unrolling and branch folding:
 
 from __future__ import annotations
 
-from repro.ir.dominance import DominatorTree
+from repro.ir.dominance import reverse_postorder
 from repro.ir.instructions import Branch, Phi
 from repro.ir.module import BasicBlock, Function
 from repro.passes.pass_manager import FunctionPass
@@ -35,8 +35,8 @@ class SimplifyCFG(FunctionPass):
     # ------------------------------------------------------------------
     @staticmethod
     def _remove_unreachable(func: Function) -> bool:
-        dt = DominatorTree(func)
-        dead = [b for b in func.blocks if not dt.is_reachable(b)]
+        reachable = set(reverse_postorder(func))
+        dead = [b for b in func.blocks if b not in reachable]
         if not dead:
             return False
         dead_ids = set(map(id, dead))

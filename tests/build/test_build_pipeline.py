@@ -163,6 +163,7 @@ def test_sim_contexts_share_artifact_store():
     store = ArtifactStore()
     first = SimContext(workload, artifact_store=store).run()
     second = SimContext(workload, artifact_store=store).run()
-    # One compiled module and one lowered graph, each built once.
-    assert store.hits == 2 and store.misses == 2
+    # One compiled module, one elaboration record and one lowered
+    # graph, each built once.
+    assert store.hits == 3 and store.misses == 3
     assert second.cycles == first.cycles

@@ -153,6 +153,37 @@ def test_pool_worker_body_lowers_once_per_datapath(workload, monkeypatch):
     assert STAGE_COUNTERS.compiles() == 0
 
 
+# -- elaborating once per datapath ------------------------------------------
+ELABORATION_GRID = {"fus": [2, 8, 32], "ports": [2],
+                    "memory": ["spm", "cache", "ideal"]}
+
+
+def test_serial_sweep_elaborates_once_per_datapath(workload):
+    # Nine points, three distinct FU limits: three elaborations, each
+    # through the build pipeline's elaborate stage.
+    points = ParallelSweep(workers=1).run(workload, ELABORATION_GRID,
+                                          _configure_datapath, seed=7)
+    assert len(points) == 9 and all(p.ok for p in points)
+    assert STAGE_COUNTERS.elaborate == len(ELABORATION_GRID["fus"])
+
+
+def test_pool_worker_body_elaborates_once_per_datapath(workload, monkeypatch):
+    module = build_module(workload.source, workload.func_name).module
+    monkeypatch.setattr(parallel, "_worker", None)
+    parallel._init_worker(parallel._SweepWorker(
+        workload, [module], seed=7, verify=True, max_ticks=None, trace=None,
+        watchdog=None, timeout_s=None))
+    STAGE_COUNTERS.reset()
+    for fus in ELABORATION_GRID["fus"]:
+        for memory in ELABORATION_GRID["memory"]:
+            payload = parallel._run_in_worker(
+                0, _configure_datapath(
+                    {"fus": fus, "ports": 2, "memory": memory}), None)
+            assert "__failure__" not in payload
+    assert STAGE_COUNTERS.elaborate == len(ELABORATION_GRID["fus"])
+    assert STAGE_COUNTERS.graph == len(ELABORATION_GRID["fus"])
+
+
 def test_no_pool_submit_carries_a_module(workload, monkeypatch):
     submitted, installed = [], []
 

@@ -1,12 +1,20 @@
-"""Contract: a `SimGraph` is read-only under a run.
+"""Contract: a `SimGraph` and an `ElaborationRecord` are read-only
+under a run.
 
-The artifact store hands the same decoded `SimGraph` to every graph hit,
-and a sweep process runs all of its points on one lowering per
-datapath, so no run may write to the graph it runs on.  Here one shared
-gemm graph serves spm, cache and ideal runs, a fault-injected run and
-three runs on three threads at once (serve's workers share a store).
-After each, the graph pickles to the same bytes, and the run's
-`RunResult` JSON equals that of a run on a freshly lowered graph.
+The artifact store hands the same decoded `SimGraph` to every graph hit
+and the same `ElaborationRecord` to every elaboration hit, and a sweep
+process runs all of its points on one lowering and one elaboration per
+datapath, so no run may write to either.  Here one shared gemm graph
+and record serve spm, cache and ideal runs, a fault-injected run, an
+``engine="dynamic"`` run (which reads the record through the CDFG's
+nodes) and four of those runs on four threads at once (serve's workers
+share a store).  After each, the graph and the record pickle to the same
+bytes, and the run's `RunResult` JSON equals that of a run on a freshly
+elaborated and lowered datapath.
+
+The record is shared across private module copies (every module hit is
+one), so it must never lead a unit to another copy's instructions:
+`test_record_shared_across_module_copies` pins that.
 """
 
 import json
@@ -16,7 +24,9 @@ import threading
 
 import pytest
 
+from repro.build.pipeline import STAGE_COUNTERS, build_module
 from repro.build.store import ArtifactStore
+from repro.core.config import DeviceConfig
 from repro.exec.context import SimContext
 from repro.workloads import get_workload
 
@@ -29,6 +39,7 @@ POINTS = {
     "spm+bit_flip": dict(memory="spm",
                          faults=f"bit_flip@spm:access=1,addr={SPM_BASE + 7:#x},"
                                 "bit=6"),
+    "dynamic": dict(memory="spm", engine="dynamic"),
 }
 
 
@@ -44,33 +55,42 @@ def fresh():
     return {name: _run(**kwargs)[1] for name, kwargs in POINTS.items()}
 
 
+def _record(ctx):
+    return ctx.accelerator.unit.iface.cdfg.record
+
+
 @pytest.fixture(scope="module")
 def shared():
-    """A store holding one lowered gemm graph, and the graph's pickle
-    taken before any run."""
+    """A store holding one lowered gemm graph and its elaboration
+    record, and their pickles taken before any run."""
     store = ArtifactStore()
-    graph = SimContext(get_workload("gemm"), seed=7, verify=False,
-                       artifact_store=store).build().unit.graph()
-    return store, graph, pickle.dumps(graph)
+    unit = SimContext(get_workload("gemm"), seed=7, verify=False,
+                      artifact_store=store).build().unit
+    graph, record = unit.graph(), unit.iface.cdfg.record
+    return store, graph, record, pickle.dumps((graph, record))
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_run_leaves_shared_graph_unchanged(shared, fresh, name):
-    store, graph, before = shared
+    store, graph, record, before = shared
     ctx, result = _run(store, **POINTS[name])
-    assert ctx.engine_used == "graph"
-    assert ctx.accelerator.unit.graph() is graph
+    assert ctx.engine_used == POINTS[name].get("engine", "graph")
+    assert _record(ctx) is record
+    if ctx.engine_used == "graph":
+        assert ctx.accelerator.unit.graph() is graph
+        # A graph hit never pairs the record with instructions.
+        assert ctx.accelerator.unit.iface.cdfg._nodes is None
     if "faults" in POINTS[name]:
         assert ctx.fault_injector.injected  # the fault fired
-    assert pickle.dumps(graph) == before
+    assert pickle.dumps((graph, record)) == before
     assert result == fresh[name]
 
 
 def test_concurrent_runs_share_graph_read_only(shared, fresh):
-    # Three threads switching often, so the runs interleave inside the
+    # Four threads switching often, so the runs interleave inside the
     # scheduler's loop.
-    store, graph, before = shared
-    names = ["spm", "cache", "ideal"]
+    store, graph, record, before = shared
+    names = ["spm", "cache", "ideal", "dynamic"]
     outcomes: dict = {}
 
     def work(name):
@@ -89,6 +109,44 @@ def test_concurrent_runs_share_graph_read_only(shared, fresh):
     assert not any(thread.is_alive() for thread in threads)
     for name in names:
         ctx, result = outcomes[name]
-        assert ctx.accelerator.unit.graph() is graph
+        assert _record(ctx) is record
+        if ctx.engine_used == "graph":
+            assert ctx.accelerator.unit.graph() is graph
         assert result == fresh[name]
-    assert pickle.dumps(graph) == before
+    assert pickle.dumps((graph, record)) == before
+
+
+@pytest.mark.parametrize("first", ["dynamic", "graph"])
+def test_record_shared_across_module_copies(first):
+    # Both contexts get their module as a private copy from a store hit.
+    # The first elaborates from its copy; the second — a dynamic run, or
+    # a graph run whose latency override misses the graph store — hits
+    # that record and must bind it to its own copy's instructions.  Both
+    # match their store-less twins byte for byte.
+    workload = get_workload("gemm_dse")
+    overridden = dict(config=DeviceConfig(latency_overrides={"fp_mul": 6}))
+    kinds = {"dynamic": dict(engine="dynamic"), "graph": overridden}
+    order = [first, "graph" if first == "dynamic" else "dynamic"]
+
+    def run(store, kind):
+        ctx = SimContext(workload, seed=7, artifact_store=store, **kinds[kind])
+        return ctx, json.dumps(ctx.run().to_dict(), sort_keys=True)
+
+    storeless = {kind: run(None, kind)[1] for kind in order}
+    store = ArtifactStore()
+    build_module(workload.source, workload.func_name, store=store)
+    STAGE_COUNTERS.reset()
+    contexts = {}
+    for kind in order:
+        contexts[kind], result = run(store, kind)
+        assert result == storeless[kind]
+    # One elaboration between them; only the graph run lowers.
+    assert STAGE_COUNTERS.snapshot() == dict(
+        parse=0, lower=0, optimize=0, elaborate=1, graph=1)
+    units = [contexts[kind].accelerator.unit for kind in order]
+    assert units[0].iface.module is not units[1].iface.module
+    assert units[0].iface.cdfg.record is units[1].iface.cdfg.record
+    for unit in units:
+        own = set(map(id, unit.iface.func.instructions()))
+        assert all(id(node.inst) in own
+                   for node in unit.iface.cdfg.nodes.values())

@@ -1,11 +1,15 @@
 """Dominator analysis, with structural properties."""
 
+import pytest
+
+from repro.build.pipeline import build_module
 from repro.frontend import compile_c
 from repro.ir.builder import IRBuilder
 from repro.ir.dominance import DominatorTree
 from repro.ir.module import Function
 from repro.ir.types import I1, I32
 from repro.ir.values import Constant
+from repro.workloads import get_workload
 
 
 def _diamond():
@@ -70,7 +74,8 @@ def test_loop_frontier_contains_header():
     assert loop in frontier[loop]  # back edge puts the header in its own DF
 
 
-def test_unreachable_blocks_detected():
+def _dead_block():
+    """entry -> ret, plus an unreachable block."""
     f = Function("f")
     entry = f.add_block("entry")
     dead = f.add_block("dead")
@@ -78,6 +83,11 @@ def test_unreachable_blocks_detected():
     b.ret()
     b.position_at_end(dead)
     b.ret()
+    return f, entry, dead
+
+
+def test_unreachable_blocks_detected():
+    f, entry, dead = _dead_block()
     dt = DominatorTree(f)
     assert dt.is_reachable(entry)
     assert not dt.is_reachable(dead)
@@ -114,8 +124,9 @@ def test_self_loop_header():
     assert loop in dt.dominance_frontier()[loop]
 
 
-def test_unreachable_self_loop_pair():
-    """Two unreachable blocks that branch to each other."""
+def _dead_pair():
+    """entry -> ret, plus two unreachable blocks that branch to each
+    other."""
     f = Function("f")
     entry = f.add_block("entry")
     b = IRBuilder(entry)
@@ -125,6 +136,12 @@ def test_unreachable_self_loop_pair():
     b.br(dead_b)
     b.position_at_end(dead_b)
     b.br(dead_a)
+    return f, entry, dead_a, dead_b
+
+
+def test_unreachable_self_loop_pair():
+    """Two unreachable blocks that branch to each other."""
+    f, entry, dead_a, dead_b = _dead_pair()
     dt = DominatorTree(f)
     assert not dt.is_reachable(dead_a)
     assert not dt.is_reachable(dead_b)
@@ -153,3 +170,44 @@ def test_idom_strictly_dominates_on_real_kernel():
             assert dt.strictly_dominates(idom, block)
     # Entry's RPO order starts at the entry block.
     assert dt.rpo[0] is func.entry
+
+
+# -- the numbered tree answers exactly what the idom chain says --------------
+def _assert_matches_idom_walk(func):
+    """`dominates`, `strictly_dominates` and `children` against a
+    reference computed from ``idom`` alone: walk b's idom chain (an
+    unreachable b has none, so only b itself dominates it), and scan
+    ``idom`` for each block's children."""
+    dt = DominatorTree(func)
+    blocks = func.blocks
+    for b in blocks:
+        ancestors = set()
+        node = b
+        while node is not None:
+            ancestors.add(node)
+            node = dt.idom.get(node)
+        for a in blocks:
+            expected = a in ancestors
+            assert dt.dominates(a, b) is expected, (a.name, b.name)
+            assert dt.strictly_dominates(a, b) is (expected and a is not b)
+    for block in blocks:
+        expected = [c for c, parent in dt.idom.items() if parent is block]
+        assert dt.children(block) == expected, block.name
+
+
+@pytest.mark.parametrize("fixture", [_diamond, _dead_block, _dead_pair])
+def test_small_trees_match_idom_walk(fixture):
+    _assert_matches_idom_walk(fixture()[0])
+
+
+@pytest.mark.parametrize("name", ["gemm_dse", "md_grid"])
+def test_unrolled_kernels_match_idom_walk(name):
+    # Stop right after unrolling, before simplifycfg merges the copies:
+    # gemm_dse u8 is then a 1,242-block idom chain.
+    workload = get_workload(name)
+    module = build_module(workload.source, workload.func_name,
+                          pipeline="inline,mem2reg,constfold,dce,unroll:8"
+                          ).module
+    func = module.get_function(workload.func_name)
+    assert len(func.blocks) > 50
+    _assert_matches_idom_walk(func)

@@ -239,3 +239,20 @@ def test_non_i1_branch_condition_rejected():
     b.ret()
     with pytest.raises(VerifierError, match="i1"):
         verify_function(f)
+
+
+@pytest.mark.parametrize("same_name", [False, True])
+def test_branch_to_foreign_block_rejected(same_name):
+    # The target belongs to another function; with ``same_name`` it even
+    # shares its name with a block of this one, so only identity tells.
+    other = Function("g")
+    foreign = other.add_block("exit" if same_name else "elsewhere")
+    IRBuilder(foreign).ret()
+    f = Function("f")
+    entry, exit_ = f.add_block("entry"), f.add_block("exit")
+    b = IRBuilder(entry)
+    b.cbr(Constant(I1, 1), exit_, foreign)
+    b.position_at_end(exit_)
+    b.ret()
+    with pytest.raises(VerifierError, match="foreign block"):
+        verify_function(f)
