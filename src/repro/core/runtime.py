@@ -344,16 +344,16 @@ class RuntimeEngine(SimObject):
     def inflight_dump(self, limit: int = 32) -> list[str]:
         """Human-readable lines for every not-yet-committed instruction.
 
-        Covers the ready heap, the fetch/wake staging lists, and the
-        memory window — the queues a hang report needs to explain *what*
-        the engine was waiting on.
+        Covers the ready heap (in seq order), the fetch/wake staging
+        lists, and the memory window — the queues a hang report needs to
+        explain *what* the engine was waiting on.
         """
         if self.driver is not None:
             return self.driver.inflight_dump(limit)
         return inflight_lines(
             ((label, dyn.seq, dyn.node.inst.opcode, dyn.state, dyn.pending,
               dyn.addr)
-             for label, group in (("ready", self._ready),
+             for label, group in (("ready", sorted(self._ready)),
                                   ("staged", self._staged),
                                   ("wake", self._wake),
                                   ("mem", self._mem_window))

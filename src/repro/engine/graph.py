@@ -20,8 +20,8 @@ into parallel arrays indexed by node id:
 * static memory-disambiguation facts reusing `repro.analysis.memdep`
   (PR 5): each access's root pointer and constant byte offset, letting
   the scheduler skip the overlap arithmetic for provably disjoint pairs
-  without changing any conflict outcome (see `GraphScheduler._conflicts`
-  for the exactness argument).
+  without changing any conflict outcome (see the ``conflicts`` closure
+  in `GraphScheduler._loop` for the exactness argument).
 
 Lowering is total.  An instruction the datapath cannot execute (an
 alloca, a call that survived inlining) lowers to a *trap node* whose
@@ -31,15 +31,19 @@ engine raises; a trap that never issues costs nothing.
 `SimGraph` is read-only under a run, so one graph is shared by every
 run and sweep point of a process that shares its module, config and
 profile: the content-addressed `ArtifactStore` (kind ``"graph"``) holds
-it decoded and hands the same object to every hit.  It is also
-picklable — the eval thunks are rebuilt lazily after unpickling — for
-the store's disk mirror.
+it decoded and hands the same object to every hit.  What the scheduler
+derives from the graph alone — the eval thunks and the `RunTables`
+(operand templates, memory codecs, FU classes, issue gates) — is built
+lazily once per graph and held with it; a run binds only its argument
+values.  It is also picklable — thunks and tables are dropped and
+rebuilt lazily after unpickling — for the store's disk mirror.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import asdict
 from typing import Optional
 
@@ -61,6 +65,7 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.semantics import (
+    bytes_to_value,
     eval_binop,
     eval_cast,
     eval_fcmp,
@@ -69,6 +74,7 @@ from repro.ir.semantics import (
     gep_address,
     round_float,
     signed_operand,
+    value_to_bytes,
 )
 from repro.ir.types import ArrayType, FloatType, IntType, PointerType
 from repro.ir.values import Argument, Constant, Instruction
@@ -94,6 +100,14 @@ K_STORE = 2
 K_BRANCH = 3
 K_RET = 4
 K_OTHER = 5  # phi and other zero-latency wiring ops
+
+# Issue gates: the shared resource a ready op waits on when it cannot
+# issue.  A load waits on the read queue, a store on the write queue, a
+# pooled compute op on its FU class's pool (gate ``GATE_POOL + class
+# id``).  Dedicated units and every other op have no gate (-1).
+GATE_READ = 0
+GATE_WRITE = 1
+GATE_POOL = 2
 
 
 class NodeTrap(Exception):
@@ -283,12 +297,156 @@ def _gep_eval(inst: GetElementPtr):
     return multi
 
 
+_STRUCT_F = struct.Struct("<f")
+_STRUCT_D = struct.Struct("<d")
+
+
+def _codecs(t):
+    """``(decoder, encoder)`` for a memory access of type ``t``: the
+    type dispatch of `bytes_to_value` / `value_to_bytes` resolved once.
+    Each closure is bit-exact with the generic function (the image hands
+    back exactly the access size, so the defensive slice is a no-op)."""
+    if isinstance(t, IntType):
+        size = t.size_bytes()
+        mask = t.mask
+        return ((lambda data: int.from_bytes(data, "little") & mask),
+                (lambda value: int(value & mask).to_bytes(size, "little")))
+    if isinstance(t, FloatType):
+        st = _STRUCT_F if t.bits == 32 else _STRUCT_D
+        return (lambda data, _u=st.unpack: _u(data)[0]), st.pack
+    if isinstance(t, PointerType):
+        return ((lambda data: int.from_bytes(data[:8], "little")),
+                (lambda value: int(value).to_bytes(8, "little")))
+    return ((lambda data: bytes_to_value(data, t)),
+            (lambda value: value_to_bytes(value, t)))
+
+
+class RunTables:
+    """The per-node tables `GraphScheduler` needs beyond the graph's own
+    arrays.  They depend on the graph alone, so `SimGraph.run_tables`
+    builds them once and every run shares them read-only; a run binds
+    its argument values through `bind`.
+
+    * ``templates[nid]`` — a non-phi node's operand values, constants
+      filled in, ``None`` at argument- and producer-fed slots;
+      ``dep_binds[nid]`` lists its producer-fed slots as ``(index,
+      producer_nid, is_addr)``.  Both are ``None`` for a phi, whose
+      ``phi_binds[nid]`` maps a predecessor block id to ``(template,
+      dep_binds)`` for its one incoming value.
+    * ``arg_slots`` / ``phi_arg_slots`` — ``(nid, ((slot, arg_index),
+      ...))`` for the nodes `bind` must copy: ``slot`` is an operand
+      index, or a predecessor block id for a phi.
+    * ``is_mem``, ``decoders``, ``encoders`` — memory accesses and their
+      per-node value codecs (`_codecs`).
+    * ``class_names`` / ``cls_ids`` — FU classes interned to small ints
+      in node order, and each node's class id.
+    * ``gate[nid]`` — the node's issue gate (``GATE_*``, -1 for none);
+      there are ``GATE_POOL + len(class_names)`` gates.
+    """
+
+    __slots__ = ("templates", "dep_binds", "phi_binds", "arg_slots",
+                 "phi_arg_slots", "is_mem", "decoders", "encoders",
+                 "class_names", "cls_ids", "gate")
+
+    def __init__(self, graph: "SimGraph") -> None:
+        n = graph.n_nodes
+        kind = graph.kind
+        self.templates: list = [None] * n
+        self.dep_binds: list = [None] * n
+        self.phi_binds: list = [None] * n
+        self.arg_slots: list = []
+        self.phi_arg_slots: list = []
+        for nid, descs in enumerate(graph.operands):
+            if type(descs) is dict:  # phi: one incoming per predecessor
+                per_pred = {}
+                args = []
+                for pred_bid, (tag, payload) in descs.items():
+                    if tag == SRC_NODE:
+                        per_pred[pred_bid] = ([None], ((0, payload, False),))
+                    elif tag == SRC_ARG:
+                        per_pred[pred_bid] = ([None], ())
+                        args.append((pred_bid, payload))
+                    else:
+                        per_pred[pred_bid] = ([payload], ())
+                self.phi_binds[nid] = per_pred
+                if args:
+                    self.phi_arg_slots.append((nid, tuple(args)))
+                continue
+            aidx = graph.addr_index[nid]
+            vals: list = [None] * len(descs)
+            deps = []
+            args = []
+            for index, (tag, payload) in enumerate(descs):
+                if tag == SRC_CONST:
+                    vals[index] = payload
+                elif tag == SRC_ARG:
+                    args.append((index, payload))
+                else:
+                    deps.append((index, payload, index == aidx))
+            self.templates[nid] = vals
+            self.dep_binds[nid] = tuple(deps)
+            if args:
+                self.arg_slots.append((nid, tuple(args)))
+
+        self.is_mem = [k in (K_LOAD, K_STORE) for k in kind]
+        self.decoders: list = [None] * n
+        self.encoders: list = [None] * n
+        for nid in range(n):
+            if self.is_mem[nid]:
+                self.decoders[nid], self.encoders[nid] = _codecs(
+                    graph.mem_type[nid])
+
+        self.class_names: list[str] = []
+        index: dict[str, int] = {}
+        self.cls_ids = [0] * n
+        self.gate = [-1] * n
+        for nid, cls in enumerate(graph.fu_class):
+            ci = index.get(cls)
+            if ci is None:
+                ci = index[cls] = len(self.class_names)
+                self.class_names.append(cls)
+            self.cls_ids[nid] = ci
+            if kind[nid] == K_LOAD:
+                self.gate[nid] = GATE_READ
+            elif kind[nid] == K_STORE:
+                self.gate[nid] = GATE_WRITE
+            elif kind[nid] == K_COMPUTE and not graph.dedicated[nid]:
+                self.gate[nid] = GATE_POOL + ci
+
+    def bind(self, args: list) -> tuple[list, list]:
+        """``(templates, phi_binds)`` with this run's argument values in
+        place.  Only the nodes with argument-fed slots get copies; every
+        other entry is the shared table's own, which no run writes to."""
+        templates = self.templates
+        if self.arg_slots:
+            templates = templates.copy()
+            for nid, slots in self.arg_slots:
+                vals = templates[nid].copy()
+                for index, arg in slots:
+                    vals[index] = args[arg]
+                templates[nid] = vals
+        phi_binds = self.phi_binds
+        if self.phi_arg_slots:
+            phi_binds = phi_binds.copy()
+            for nid, slots in self.phi_arg_slots:
+                per_pred = dict(phi_binds[nid])
+                for pred_bid, arg in slots:
+                    per_pred[pred_bid] = ([args[arg]], ())
+                phi_binds[nid] = per_pred
+        return templates, phi_binds
+
+
 class SimGraph:
     """The compiled simulation graph: flat per-node arrays.
 
     Node ids are program-order indices over ``func.blocks`` (identical
     to `StaticNode.index`).  Every array below is indexed by node id.
     """
+
+    # Built lazily once per graph and dropped on pickling: closures do
+    # not pickle, and the tables are cheaper to rebuild than to store.
+    _evals: Optional[list] = None
+    _run_tables: Optional[RunTables] = None
 
     def __init__(self, iface: LLVMInterface) -> None:
         self.func_name = iface.func.name
@@ -420,7 +578,6 @@ class SimGraph:
                 )
 
         self._lower_memdep(iface)
-        self._evals = None  # built lazily (closures are not picklable)
 
     # ------------------------------------------------------------------
     def _lower_memdep(self, iface: LLVMInterface) -> None:
@@ -447,6 +604,13 @@ class SimGraph:
         if self._evals is None:
             self._evals = self._build_evals()
         return self._evals
+
+    @property
+    def run_tables(self) -> RunTables:
+        """The scheduler's run-invariant per-node tables (`RunTables`)."""
+        if self._run_tables is None:
+            self._run_tables = RunTables(self)
+        return self._run_tables
 
     def _build_evals(self) -> list:
         """Per-node thunks, specialized for the hot opcodes.
@@ -487,7 +651,8 @@ class SimGraph:
     # -- pickling ------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_evals"] = None
+        state.pop("_evals", None)
+        state.pop("_run_tables", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

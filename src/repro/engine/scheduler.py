@@ -6,7 +6,26 @@ is one iteration: drain the completions due by this cycle (compute
 commits and memory completions, in the order the event queue fires
 them: DEFAULT_PRI before the engine tick's CPU_TICK_PRI, then
 scheduling order), then run the tick phases in the dynamic engine's
-order (fetch, wake, issue with retry, memory pump, occupancy).
+order (fetch, wake, gated issue, memory pump, occupancy).
+
+Issue takes ready ops in seq order, as the dynamic engine pops its
+ready heap, and each op that cannot issue waits for the next cycle.
+Most refusals come from a shared resource that stays full for the rest
+of the cycle: the read queue, the write queue, or a pooled FU class at
+its limit (nothing frees a slot or a unit mid-issue).  That resource is
+the op's *gate* (`RunTables.gate`); the gate is tested before the
+conflict scan and the FU acquire.  A refused op is *parked* behind its
+gate, in seq order, instead of going back on the heap.  Next cycle the
+gate's parked ops return to the heap one at a time: the first at the
+start of the issue phase, the next each time one passes the gate (and
+then issues or loses to an address conflict).  When the gate refuses
+its parked op on the heap, every op behind it is refused with it in
+bulk, at that point in seq order.  Issue order is therefore exactly
+seq order, which the float energy sums depend on, and the per-kind
+refusal counts (`blocked_by_kind`, the ``sched`` trace payload) and
+per-class stall counts keep their values and their first-refusal key
+order.  Dedicated units have no gate: an op a busy dedicated unit
+refuses goes back on the heap for the next cycle.
 
 The loop is driven from the event queue like `RuntimeEngine`:
 `ComputeUnit.launch` (the one launch path, for host MMR starts and
@@ -28,14 +47,17 @@ A watched run stays on this loop.  While it runs, the driven
 every check.  The loop calls the run's watchdog (`EventQueue.watchdog`)
 every ``interval`` cycles, because an inline-memory run is a single
 event and `EventQueue.run` only checks between events.  Hang reports
-list the ready heap and the memory window in the engine's format.
+list the ready ops (on the heap or parked) in seq order, then the
+memory window, in the engine's format.
 
 The contract is **byte-identical stats**: every counter, float energy
 accumulation (same addition order, so no float drift), occupancy
 record, and memory image byte matches `RuntimeEngine`, and a run that
 issues a trap node fails with the same `EngineError` text.  Where the
 dynamic engine consults live objects (profile specs, CDFG nodes), this
-loop reads the flat arrays `compile_graph` precomputed.  Memory goes one of two ways:
+loop reads the flat arrays `compile_graph` precomputed and the graph's
+`RunTables`, built once per graph; a run binds only its argument
+values.  Memory goes one of two ways:
 
 * **Inline model**, when the unit hands over its private SPM
   (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM, the
@@ -104,7 +126,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import struct
 import sys
 from typing import Callable, Optional
 
@@ -118,6 +139,9 @@ from repro.core.runtime import (
     inflight_lines,
 )
 from repro.engine.graph import (
+    GATE_POOL,
+    GATE_READ,
+    GATE_WRITE,
     K_BRANCH,
     K_COMPUTE,
     K_LOAD,
@@ -126,8 +150,6 @@ from repro.engine.graph import (
     NodeTrap,
     SimGraph,
 )
-from repro.ir.semantics import bytes_to_value, value_to_bytes
-from repro.ir.types import FloatType, IntType, PointerType
 from repro.sim.eventq import Event
 
 # Completion-bucket entry tags.
@@ -135,9 +157,6 @@ _EV_COMMIT = 0  # compute commit
 _EV_SPM = 1     # SPM timing completion (image access happens now)
 _EV_IDEAL = 2   # ideal-memory completion (data captured at pump)
 _EV_PORT = 3    # memctrl completion (data and completion cycle captured)
-
-_STRUCT_F = struct.Struct("<f")
-_STRUCT_D = struct.Struct("<d")
 
 _NEVER = sys.maxsize  # the next-check cycle of an unwatched run
 
@@ -159,6 +178,7 @@ class GraphScheduler:
         # Hang-report view of the loop, refreshed at every watchdog
         # check and every suspension (see _publish).
         self._ready: list = []
+        self._parked: list = []
         self._mem_window: list = []
         self._counts = (0, 0, 0, 0)  # window, reads, writes, compute
 
@@ -226,10 +246,14 @@ class GraphScheduler:
                              engine.cur_cycle)
 
     def inflight_dump(self, limit: int = 32) -> list[str]:
+        """Ready ops (on the heap or parked at a gate) in seq order,
+        then the memory window."""
         insts = self.graph.insts
+        ready = sorted(self._ready + [entry for line in self._parked
+                                      for entry in line])
         return inflight_lines(
             ((label, dyn[1], insts[dyn[0]].opcode, dyn[2], dyn[3], dyn[7])
-             for label, group in (("ready", [dyn for __, dyn in self._ready]),
+             for label, group in (("ready", [dyn for __, dyn in ready]),
                                   ("mem", self._mem_window))
              for dyn in group),
             limit)
@@ -253,7 +277,6 @@ class GraphScheduler:
 
         # -- flat graph arrays, bound to locals for the hot loop --------
         kind = g.kind
-        operands = g.operands
         addr_index = g.addr_index
         produces_value = g.produces_value
         blocks = g.blocks
@@ -268,7 +291,6 @@ class GraphScheduler:
         write_energy = g.write_energy
         issue_kind = g.issue_kind
         mem_size = g.mem_size
-        mem_type = g.mem_type
         mem_root = g.mem_root
         mem_offset = g.mem_offset
         br_cond = g.br_cond
@@ -306,77 +328,21 @@ class GraphScheduler:
         engine_name = engine.name
         commit_name = f"{engine_name}.commit"
 
-        # -- operand templates: args never change during a run, so every
-        # const and argument operand is bound once here; fetch only has
-        # to resolve producer values.  ``init_vals[nid]`` is the operand
-        # value list with ``None`` at producer-fed slots (shared, not
-        # copied, when a node has no producer-fed slots — nothing ever
-        # writes to it then); ``dep_binds[nid]`` lists
-        # ``(index, producer_nid, is_addr)``.
-        init_vals: list = [None] * g.n_nodes
-        dep_binds: list = [None] * g.n_nodes
-        phi_binds: list = [None] * g.n_nodes
-        is_mem = [k in (K_LOAD, K_STORE) for k in kind]
-        for nid in range(g.n_nodes):
-            descs = operands[nid]
-            aidx = addr_index[nid]
-            if type(descs) is dict:  # phi: one incoming per predecessor
-                per_pred = {}
-                for pred_bid, (tag, payload) in descs.items():
-                    if tag == 2:    # SRC_NODE
-                        per_pred[pred_bid] = ([None], [(0, payload, False)])
-                    elif tag == 1:  # SRC_ARG
-                        per_pred[pred_bid] = ([args[payload]], ())
-                    else:           # SRC_CONST
-                        per_pred[pred_bid] = ([payload], ())
-                phi_binds[nid] = per_pred
-            else:
-                vals0: list = [None] * len(descs)
-                deps = []
-                for index, (tag, payload) in enumerate(descs):
-                    if tag == 0:
-                        vals0[index] = payload
-                    elif tag == 1:
-                        vals0[index] = args[payload]
-                    else:
-                        deps.append((index, payload, index == aidx))
-                init_vals[nid] = vals0
-                dep_binds[nid] = deps
-
-        # -- per-node memory codecs: the type dispatch of
-        # `bytes_to_value` / `value_to_bytes` resolved once per node.
-        # Each closure is bit-exact with the generic function (the image
-        # hands back exactly ``mem_size`` bytes, so the defensive slice
-        # is a no-op).
-        decoders: list = [None] * g.n_nodes
-        encoders: list = [None] * g.n_nodes
-        for nid in range(g.n_nodes):
-            if not is_mem[nid]:
-                continue
-            t = mem_type[nid]
-            if isinstance(t, IntType):
-                size = t.size_bytes()
-                mask = t.mask
-                decoders[nid] = (
-                    lambda data, _m=mask:
-                    int.from_bytes(data, "little") & _m)
-                encoders[nid] = (
-                    lambda value, _m=mask, _s=size:
-                    int(value & _m).to_bytes(_s, "little"))
-            elif isinstance(t, FloatType):
-                st = _STRUCT_F if t.bits == 32 else _STRUCT_D
-                decoders[nid] = (lambda data, _u=st.unpack: _u(data)[0])
-                encoders[nid] = st.pack
-            elif isinstance(t, PointerType):
-                decoders[nid] = (
-                    lambda data: int.from_bytes(data[:8], "little"))
-                encoders[nid] = (
-                    lambda value: int(value).to_bytes(8, "little"))
-            else:
-                decoders[nid] = (
-                    lambda data, _t=t: bytes_to_value(data, _t))
-                encoders[nid] = (
-                    lambda value, _t=t: value_to_bytes(value, _t))
+        # -- run-invariant tables, built once per graph (`RunTables`);
+        # this run binds its argument values into the operand templates.
+        # ``init_vals[nid]`` is the operand value list with ``None`` at
+        # producer-fed slots (shared, not copied, when a node has no
+        # producer-fed slots — nothing ever writes to it then);
+        # ``dep_binds[nid]`` lists ``(index, producer_nid, is_addr)``.
+        tables = g.run_tables
+        init_vals, phi_binds = tables.bind(args)
+        dep_binds = tables.dep_binds
+        is_mem = tables.is_mem
+        decoders = tables.decoders
+        encoders = tables.encoders
+        cls_ids = tables.cls_ids
+        class_names = tables.class_names
+        gate_of = tables.gate
 
         # -- run state ---------------------------------------------------
         seq = 0
@@ -386,10 +352,21 @@ class GraphScheduler:
         # the dynamic engine's staged/wake staging lists between their
         # fill and drain, and pop order is seq-keyed either way.
         ready: list[tuple[int, list]] = []
+        # Ready ops their gate refused wait in ``parked[gate]`` as
+        # ``(seq, dyn)`` for the next cycle; ``waiting_gates`` lists the
+        # gates with parked ops.  In a cycle a gate's parked ops go back
+        # on the heap one at a time, in seq order: ``queued[gate]``
+        # iterates over the rest, ``heads[gate]`` is the one on the heap.
+        n_gates = GATE_POOL + len(class_names)
+        parked: list[list] = [[] for __ in range(n_gates)]
+        waiting_gates: list[int] = []
+        queued: list = [None] * n_gates
+        heads: list = [None] * n_gates
         window = 0
         mem_window: list = []    # outstanding memory ops, in seq order
         store_window: list = []  # its stores: all a load can conflict with
-        self._ready, self._mem_window = ready, mem_window
+        self._ready, self._parked = ready, parked
+        self._mem_window = mem_window
         fetch_queue: list[tuple[int, int]] = [(g.entry_block, -1)]
         fetch_cursor = 0
         inflight_compute = 0
@@ -406,17 +383,6 @@ class GraphScheduler:
         ded_last_issue = [-1] * g.n_nodes   # dedicated units are 1:1 with nodes
         ded_busy_until = [-1] * g.n_nodes
         fu_counts = engine.iface.cdfg.fu_counts
-        class_names: list[str] = []
-        _cls_index: dict[str, int] = {}
-        cls_ids = [0] * g.n_nodes
-        for _nid in range(g.n_nodes):
-            _cls = fu_class[_nid]
-            _ci = _cls_index.get(_cls)
-            if _ci is None:
-                _ci = len(class_names)
-                _cls_index[_cls] = _ci
-                class_names.append(_cls)
-            cls_ids[_nid] = _ci
         n_cls = len(class_names)
         units_arr = [fu_counts.get(name, 0) for name in class_names]
         pool_stamp = [-1] * n_cls
@@ -568,41 +534,53 @@ class GraphScheduler:
                     return True
             return False
 
-        def fu_stall(ci: int) -> bool:
+        def fu_stall(ci: int, n: int) -> None:
             if fu_stalled_arr[ci] == 0:
                 stall_order.append(ci)
-            fu_stalled_arr[ci] += 1
-            return False
+            fu_stalled_arr[ci] += n
 
-        def fu_acquire(nid: int, cycle: int) -> bool:
-            ci = cls_ids[nid]
-            if dedicated[nid]:
-                if pipelined[nid]:
-                    if ded_last_issue[nid] >= cycle:
-                        return fu_stall(ci)
-                    ded_last_issue[nid] = cycle
-                else:
-                    if ded_busy_until[nid] >= cycle:
-                        return fu_stall(ci)
-                    lat = latency[nid]
-                    ded_busy_until[nid] = cycle + (lat if lat > 1 else 1) - 1
+        def dedicated_acquire(nid: int, cycle: int) -> bool:
+            if pipelined[nid]:
+                if ded_last_issue[nid] >= cycle:
+                    return False
+                ded_last_issue[nid] = cycle
             else:
-                if pipelined[nid]:
-                    if pool_stamp[ci] != cycle:
-                        pool_stamp[ci] = cycle
-                        pool_count[ci] = 0
-                    if pool_count[ci] >= pool_limit[nid]:
-                        return fu_stall(ci)
-                    pool_count[ci] += 1
-                else:
-                    if pool_inflight[ci] >= pool_limit[nid]:
-                        return fu_stall(ci)
-                    pool_inflight[ci] += 1
-            if fu_issued_arr[ci] == 0:
-                issue_order.append(ci)
-            inflight_arr[ci] += 1
-            fu_issued_arr[ci] += 1
+                if ded_busy_until[nid] >= cycle:
+                    return False
+                lat = latency[nid]
+                ded_busy_until[nid] = cycle + (lat if lat > 1 else 1) - 1
             return True
+
+        def park(dyn: list, gate: int, key: str, blocked: dict) -> int:
+            """Park ``dyn`` behind ``gate`` until the next cycle (the
+            gate refused it, or it lost to an address conflict); returns
+            how many ops that refuses.  A gate that refuses stays closed
+            for the rest of the cycle (nothing frees a queue slot or a
+            pooled unit mid-issue), so when ``dyn`` is the gate's queued
+            op on the heap, the ops queued behind it are refused with
+            it, in bulk, at the point in seq order where the first
+            would be."""
+            line = parked[gate]
+            if not line:
+                waiting_gates.append(gate)
+            line.append((dyn[1], dyn))
+            n = 1
+            if heads[gate] is dyn:
+                heads[gate] = None
+                rest = list(queued[gate])
+                line.extend(rest)
+                n += len(rest)
+            blocked[key] = blocked.get(key, 0) + n
+            return n
+
+        def advance(gate: int) -> None:
+            """The gate let its queued op through: queue the next one."""
+            entry = next(queued[gate], None)
+            if entry is None:
+                heads[gate] = None
+            else:
+                heads[gate] = entry[1]
+                heappush(ready, entry)
 
         def fu_release(nid: int) -> None:
             if not dedicated[nid] and not pipelined[nid]:
@@ -822,7 +800,20 @@ class GraphScheduler:
             issued_classes: list[str] = []
             issued_kinds: set[str] = set()
             issued_total = 0
-            retry: list = []
+            # Refused ops this cycle per kind, in first-refusal order.
+            blocked: dict[str, int] = {}
+            # Ops a busy dedicated unit refused: retried next cycle.
+            held: list = []
+            # Reopen the gates: each one's first parked op goes on the
+            # heap, and `advance` queues the next as each goes through.
+            if waiting_gates:
+                for gate in waiting_gates:
+                    line = parked[gate]
+                    parked[gate] = []
+                    line.sort()
+                    queued[gate] = iter(line)
+                    advance(gate)
+                waiting_gates.clear()
             while ready:
                 dyn = heappop(ready)[1]
                 nid = dyn[0]
@@ -830,8 +821,13 @@ class GraphScheduler:
                 if nkind == K_LOAD:
                     if dyn[7] is None:
                         dyn[7] = dyn[5][0]
-                    if conflicts(dyn) or outstanding_reads >= read_q_size:
-                        retry.append(dyn)
+                    if outstanding_reads >= read_q_size:
+                        park(dyn, GATE_READ, "load", blocked)
+                        continue
+                    if heads[GATE_READ] is dyn:
+                        advance(GATE_READ)
+                    if conflicts(dyn):
+                        park(dyn, GATE_READ, "load", blocked)
                         continue
                     dyn[2] = ISSUED
                     dyn[9] = cycle
@@ -846,8 +842,13 @@ class GraphScheduler:
                 elif nkind == K_STORE:
                     if dyn[7] is None:
                         dyn[7] = dyn[5][1]
-                    if conflicts(dyn) or outstanding_writes >= write_q_size:
-                        retry.append(dyn)
+                    if outstanding_writes >= write_q_size:
+                        park(dyn, GATE_WRITE, "store", blocked)
+                        continue
+                    if heads[GATE_WRITE] is dyn:
+                        advance(GATE_WRITE)
+                    if conflicts(dyn):
+                        park(dyn, GATE_WRITE, "store", blocked)
                         continue
                     dyn[2] = ISSUED
                     dyn[9] = cycle
@@ -862,9 +863,36 @@ class GraphScheduler:
                         enqueue_write(dyn[7], dyn[8], port_done(dyn))
                 else:
                     is_compute = nkind == K_COMPUTE
-                    if is_compute and not fu_acquire(nid, cycle):
-                        retry.append(dyn)
-                        continue
+                    if is_compute:
+                        ci = cls_ids[nid]
+                        gate = gate_of[nid]
+                        if gate < 0:
+                            if not dedicated_acquire(nid, cycle):
+                                fu_stall(ci, 1)
+                                held.append(dyn)
+                                blocked["compute"] = blocked.get("compute", 0) + 1
+                                continue
+                        elif pipelined[nid]:
+                            if pool_stamp[ci] != cycle:
+                                pool_stamp[ci] = cycle
+                                pool_count[ci] = 0
+                            if pool_count[ci] >= pool_limit[nid]:
+                                fu_stall(ci, park(dyn, gate, "compute", blocked))
+                                continue
+                            pool_count[ci] += 1
+                            if heads[gate] is dyn:
+                                advance(gate)
+                        else:
+                            if pool_inflight[ci] >= pool_limit[nid]:
+                                fu_stall(ci, park(dyn, gate, "compute", blocked))
+                                continue
+                            pool_inflight[ci] += 1
+                            if heads[gate] is dyn:
+                                advance(gate)
+                        if fu_issued_arr[ci] == 0:
+                            issue_order.append(ci)
+                        inflight_arr[ci] += 1
+                        fu_issued_arr[ci] += 1
                     dyn[2] = ISSUED
                     dyn[9] = cycle
                     window -= 1
@@ -901,7 +929,7 @@ class GraphScheduler:
                 issued_total += 1
                 # Zero-latency commits pushed their wakes straight onto
                 # `ready`, so they chain combinationally this cycle.
-            for dyn in retry:
+            for dyn in held:
                 heappush(ready, (dyn[1], dyn))
 
             if inline:
@@ -922,12 +950,9 @@ class GraphScheduler:
                     | (2 if outstanding_writes else 0)
                     | (4 if inflight_compute else 0))
             occ_issued_total += issued_total
-            for dyn in retry:
-                nkind = kind[dyn[0]]
-                key = ("load" if nkind == K_LOAD
-                       else "store" if nkind == K_STORE else "compute")
-                occ_blocked_ops += 1
-                occ_blocked_by_kind[key] = occ_blocked_by_kind.get(key, 0) + 1
+            for key, n in blocked.items():
+                occ_blocked_ops += n
+                occ_blocked_by_kind[key] = occ_blocked_by_kind.get(key, 0) + n
             # Busy units per class, in first-successful-acquire order —
             # the dynamic allocator's inflight_by_class insertion order.
             for ci in issue_order:
@@ -953,20 +978,14 @@ class GraphScheduler:
             else:
                 occ_idle_cycles += 1
             if hub is not None:
-                blocked_kinds: dict[str, int] = {}
-                for dyn in retry:
-                    nkind = kind[dyn[0]]
-                    key = ("load" if nkind == K_LOAD
-                           else "store" if nkind == K_STORE else "compute")
-                    blocked_kinds[key] = blocked_kinds.get(key, 0) + 1
                 hub.emit(
                     "sched", engine_name, "cycle", cycle * period,
                     dur=period,
-                    args={"issued": issued_total, "blocked": blocked_kinds,
+                    args={"issued": issued_total, "blocked": blocked,
                           "outstanding": sorted(outstanding_table[obit])},
                 )
 
-            if (ret_seen and not ready
+            if (ret_seen and not ready and not waiting_gates
                     and not fetch_queue and window == 0
                     and inflight_compute == 0 and outstanding_reads == 0
                     and outstanding_writes == 0):

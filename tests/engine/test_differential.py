@@ -67,23 +67,63 @@ def test_graph_matches_dynamic_watched(name, unroll, memory):
     assert json.dumps(graph.to_dict()) == json.dumps(unwatched.to_dict())
 
 
-def _fig13_cache_point(fus, ports):
-    """A Fig. 13 GEMM design point on the cache/DRAM memory."""
+def _fig13_point(memory, fus, ports):
+    """A Fig. 13 GEMM design point (unroll 8 is the caller's)."""
     from repro.core.config import DeviceConfig
 
-    return dict(
+    kwargs = dict(
         config=DeviceConfig(read_ports=ports, write_ports=max(1, ports // 2),
                             fu_limits={"fp_add": fus, "fp_mul": fus}),
-        memory="cache",
-        cache_kwargs=dict(size=4096, line_size=64, assoc=4),
+        memory=memory,
     )
+    if memory == "cache":
+        kwargs["cache_kwargs"] = dict(size=4096, line_size=64, assoc=4)
+    else:
+        kwargs.update(spm_bytes=1 << 15, spm_read_ports=ports,
+                      spm_write_ports=max(1, ports // 2))
+    return kwargs
 
 
 @pytest.mark.parametrize("ports", [1, 16])
 @pytest.mark.parametrize("fus", [2, 32])
 def test_graph_matches_dynamic_fig13_cache_corners(fus, ports):
-    dynamic, graph = _run_pair("gemm_dse", 8, **_fig13_cache_point(fus, ports))
+    dynamic, graph = _run_pair("gemm_dse", 8, **_fig13_point("cache", fus, ports))
     assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+
+
+# -- contended points: ready ops wait at closed issue gates -------------
+def _blocked(result, kind):
+    return result.to_dict()["occupancy"]["blocked_by_kind"].get(kind, 0)
+
+
+def _fu_stalls(result, cls):
+    return sum(value.get(cls, 0) for key, value in result.stats.items()
+               if key.endswith("fu_issue_stalls") and isinstance(value, dict))
+
+
+@pytest.mark.parametrize("ports", [1, 16])
+@pytest.mark.parametrize("memory", ["spm", "ideal"])
+def test_graph_matches_dynamic_fig13_contended(memory, ports):
+    # Two pipelined fp_add/fp_mul units.  One scratchpad read port
+    # backs up the read queue, so loads wait at its gate; otherwise fp
+    # multiplies wait at their pool's.
+    dynamic, graph = _run_pair("gemm_dse", 8, **_fig13_point(memory, 2, ports))
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+    if (memory, ports) == ("spm", 1):
+        assert _blocked(graph, "load") > 0
+    else:
+        assert _fu_stalls(graph, "fp_mul") > 0
+
+
+def test_graph_matches_dynamic_non_pipelined_pool():
+    # One fp_div unit is busy for its whole latency: the pool gate of a
+    # non-pipelined class.
+    from repro.core.config import DeviceConfig
+
+    dynamic, graph = _run_pair("md_knn", 4,
+                               config=DeviceConfig(fu_limits={"fp_div": 1}))
+    assert json.dumps(graph.to_dict()) == json.dumps(dynamic.to_dict())
+    assert _fu_stalls(graph, "fp_div") > 0
 
 
 def test_cut_short_cache_run_raises_the_same_error():
@@ -191,3 +231,30 @@ def test_traced_cache_run_matches_traced_dynamic_run():
     assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
     assert graph_counts == dynamic_counts
     assert graph_counts["mem"] > 0
+
+
+@pytest.mark.parametrize("fus,ports", [(2, 1), (1, 4)])
+def test_traced_sched_payloads_match_per_cycle(fus, ports):
+    # Gated refusals are counted per gate, not per op: every cycle's
+    # ``sched`` payload (issued, blocked with its key order,
+    # outstanding) must still equal the dynamic engine's.
+    from repro.trace.hub import TraceConfig
+
+    trace = TraceConfig(channels=("sched",), capacity=1 << 20)
+    payloads = {}
+    for engine in ("dynamic", "graph"):
+        ctx = _context("gemm_dse", engine, 8, trace=trace,
+                       **_fig13_point("spm", fus, ports))
+        ctx.run()
+        assert ctx.engine_used == engine
+        name = ctx.accelerator.unit.engine.name
+        payloads[engine] = [
+            (event.tick, event.dur, json.dumps(event.args))
+            for event in ctx.trace_hub.events("sched")
+            if event.source == name and event.kind == "cycle"]
+    assert payloads["graph"] == payloads["dynamic"]
+    blocked = [json.loads(args)["blocked"] for __, __, args in payloads["graph"]]
+    # Several ops refused at one gate in one cycle: counted in bulk.
+    assert any(count > 1 for kinds in blocked for count in kinds.values())
+    if fus == 1:  # loads and fp ops both refused in one cycle
+        assert any(len(kinds) > 1 for kinds in blocked)

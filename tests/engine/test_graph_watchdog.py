@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.core.config import DeviceConfig
 from repro.exec.context import SimContext
 from repro.faults import SimulationHang
 from repro.workloads import get_workload
@@ -49,6 +50,20 @@ def test_livelock_budget_trips_on_graph_like_on_dynamic():
     assert any(LINE.match(line) and "store" in line
                for line in graph.inflight[1:])
     dynamic = _hang(_context("spmv", "dynamic", watchdog=spec))
+    assert (graph.tick, graph.inflight) == (dynamic.tick, dynamic.inflight)
+
+    # A contended point: one non-pipelined fp_div unit, so the budget
+    # trips while fdivs wait parked at its pool gate.  The dump lists
+    # ready ops in seq order on both engines.
+    contended = dict(watchdog=spec, unroll_factor=4,
+                     config=DeviceConfig(fu_limits={"fp_div": 1}))
+    graph = _hang(_context("md_knn", **contended))
+    dynamic = _hang(_context("md_knn", "dynamic", **contended))
+    assert graph.reason == "livelock"
+    parked = [line for line in graph.inflight[1:] if "/ready]" in line]
+    assert len(parked) > 1 and all(" fdiv " in line for line in parked)
+    seqs = [int(line.split()[0][1:]) for line in parked]
+    assert seqs == sorted(seqs)
     assert (graph.tick, graph.inflight) == (dynamic.tick, dynamic.inflight)
 
 
