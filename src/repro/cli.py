@@ -356,21 +356,15 @@ def _print_injected(context) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.core.config import DeviceConfig
     from repro.exec import FailureRecord, RunCache, SimContext
+    from repro.exec.params import accelerator_kwargs
     from repro.faults import FaultConfigError, FaultPlan
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
-    config = DeviceConfig(
-        clock_freq_hz=args.clock_mhz * 1e6,
-        read_ports=args.ports,
-        write_ports=max(1, args.ports // 2),
-        fu_limits=_parse_fu_limits(args.fu_limit),
-    )
-    kwargs = dict(config=config, memory=args.memory, unroll_factor=args.unroll)
-    if args.memory in ("spm", "ideal"):
-        kwargs.update(spm_bytes=1 << 16, spm_read_ports=args.ports)
+    kwargs = accelerator_kwargs(ports=args.ports, memory=args.memory,
+                                unroll=args.unroll, clock_mhz=args.clock_mhz,
+                                fu_limits=_parse_fu_limits(args.fu_limit))
     cache = RunCache(args.cache_dir) if args.cache_dir else None
     store = _artifact_store(args)
     trace_cfg = None
@@ -446,20 +440,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core.config import DeviceConfig
     from repro.dse import format_table, pareto_front
     from repro.exec import ParallelSweep, RunCache
+    from repro.exec.params import accelerator_kwargs
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
 
     def configure(params):
-        return dict(
-            config=DeviceConfig(read_ports=params["ports"],
-                                write_ports=max(1, params["ports"] // 2)),
-            memory="spm", spm_bytes=1 << 16, spm_read_ports=params["ports"],
-            unroll_factor=args.unroll,
-        )
+        return accelerator_kwargs(ports=params["ports"], unroll=args.unroll)
 
     cache = RunCache(args.cache_dir) if args.cache_dir else None
     store = _artifact_store(args)

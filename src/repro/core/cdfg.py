@@ -133,8 +133,8 @@ class StaticCDFG:
     given).  The per-instruction views — ``nodes``, ``blocks`` and
     `node_for` — are built on first use by pairing this function's own
     instructions with the record, so they always reference the caller's
-    module.  Only graph lowering and the dynamic engine read them; a
-    unit whose graph is a store hit never builds them.
+    module.  Of the engines only the dynamic one reads them; graph
+    lowering reads the record itself (`checked_record`).
     """
 
     def __init__(
@@ -165,7 +165,9 @@ class StaticCDFG:
             self._bind()
         return self._blocks
 
-    def _bind(self) -> None:
+    def checked_record(self) -> ElaborationRecord:
+        """The record, once it is known to fit this function: its
+        tuples are indexed by program-order instruction position."""
         record = self.record
         if self.func.instruction_count() != len(record.fu_class):
             raise ValueError(
@@ -173,6 +175,10 @@ class StaticCDFG:
                 f"does not fit '{self.func.name}' "
                 f"({self.func.instruction_count()} instructions)"
             )
+        return record
+
+    def _bind(self) -> None:
+        record = self.checked_record()
         nodes: dict[Instruction, StaticNode] = {}
         blocks: dict[str, list[StaticNode]] = {}
         index = 0

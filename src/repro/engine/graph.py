@@ -3,13 +3,13 @@
 The frontend half of the graph-compiled execution backend.  Instead of
 re-deriving operand sources, functional-unit bindings, latencies, and
 memory-disambiguation facts per dynamic instruction (what the dynamic
-`RuntimeEngine` does every cycle), this stage walks the statically
-elaborated CDFG **once** and flattens everything the scheduler needs
-into parallel arrays indexed by node id:
+`RuntimeEngine` does every cycle), this stage walks the elaborated
+function **once** and flattens everything the scheduler needs into
+parallel arrays indexed by node id:
 
-* operand-source descriptors — ``(SRC_CONST, value)``,
-  ``(SRC_ARG, arg_index)`` or ``(SRC_NODE, producer_id)`` — replacing
-  per-instance `isinstance` dispatch over `Value` subclasses;
+* operand templates with constants in place, and bindings for the
+  producer- and argument-fed slots — replacing per-instance
+  `isinstance` dispatch over `Value` subclasses;
 * per-node evaluation thunks that close over the *same*
   `repro.ir.semantics` helpers the dynamic engine calls, so values (and
   therefore every downstream address and branch decision) are exactly
@@ -31,12 +31,14 @@ engine raises; a trap that never issues costs nothing.
 `SimGraph` is read-only under a run, so one graph is shared by every
 run and sweep point of a process that shares its module, config and
 profile: the content-addressed `ArtifactStore` (kind ``"graph"``) holds
-it decoded and hands the same object to every hit.  What the scheduler
-derives from the graph alone — the eval thunks and the `RunTables`
-(operand templates, memory codecs, FU classes, issue gates) — is built
-lazily once per graph and held with it; a run binds only its argument
-values.  It is also picklable — thunks and tables are dropped and
-rebuilt lazily after unpickling — for the store's disk mirror.
+it decoded and hands the same object to every hit.  Lowering reads the
+function's `ElaborationRecord` directly (node id = record index) and
+builds, in one pass over the instructions, the tables the scheduler
+runs on (operand templates, FU classes, issue gates, memdep facts); a
+run binds only its argument values (`SimGraph.bind`).  The tables are
+plain data and pickle with the graph for the store's disk mirror; only
+closures (the eval thunks and memory codecs) are dropped on pickling
+and rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import struct
 from dataclasses import asdict
 from typing import Optional
 
+from repro.analysis.memdep import resolve_pointer
 from repro.core.llvm_interface import LLVMInterface
 from repro.core.runtime import trap_reason
 from repro.hw.profile import FU_NONE
@@ -84,13 +87,10 @@ from repro.ir.values import Argument, Constant, Instruction
 #: scheduler that expects different arrays.  (v2: memory-side
 #: `DeviceConfig` fields left the key — lowering never reads them, the
 #: scheduler consults the live config — so memory-only sweeps share one
-#: stored graph.)
-GRAPH_FORMAT_VERSION = 2
-
-# Operand-source descriptor tags.
-SRC_CONST = 0
-SRC_ARG = 1
-SRC_NODE = 2
+#: stored graph.  v3: the scheduler's operand templates, bindings, FU
+#: class ids and gates are built at lowering and pickle with the graph,
+#: replacing the operand descriptors.)
+GRAPH_FORMAT_VERSION = 3
 
 # Node kind codes (what the scheduler dispatches on, instead of
 # isinstance chains).
@@ -121,22 +121,6 @@ def _trap_eval(reason: str):
     def trap(v):
         raise NodeTrap(reason)
     return trap
-
-
-def _operand_descriptor(operand, node_ids: dict[int, int]):
-    """Lower one operand `Value` to a flat source descriptor."""
-    if isinstance(operand, Constant):
-        return (SRC_CONST, operand.value)
-    if isinstance(operand, Argument):
-        return (SRC_ARG, operand)
-    if isinstance(operand, Instruction):
-        producer = node_ids.get(id(operand))
-        if producer is None:
-            # Defined in a block never fetched before this use on any
-            # path — the dynamic engine binds such operands to 0.
-            return (SRC_CONST, 0)
-        return (SRC_NODE, producer)
-    raise TypeError(f"cannot lower operand {operand!r}")
 
 
 _M64 = (1 << 64) - 1
@@ -301,7 +285,7 @@ _STRUCT_F = struct.Struct("<f")
 _STRUCT_D = struct.Struct("<d")
 
 
-def _codecs(t):
+def _value_codecs(t):
     """``(decoder, encoder)`` for a memory access of type ``t``: the
     type dispatch of `bytes_to_value` / `value_to_bytes` resolved once.
     Each closure is bit-exact with the generic function (the image hands
@@ -321,11 +305,13 @@ def _codecs(t):
             (lambda value: value_to_bytes(value, t)))
 
 
-class RunTables:
-    """The per-node tables `GraphScheduler` needs beyond the graph's own
-    arrays.  They depend on the graph alone, so `SimGraph.run_tables`
-    builds them once and every run shares them read-only; a run binds
-    its argument values through `bind`.
+class SimGraph:
+    """The compiled simulation graph: flat per-node arrays.
+
+    Node ids are program-order indices over ``func.blocks``, the order
+    of the `ElaborationRecord`'s tuples.  Every array below is indexed
+    by node id.  Besides the kind, FU, latency, energy, memory and
+    branch arrays, lowering builds the tables `GraphScheduler` runs on:
 
     * ``templates[nid]`` — a non-phi node's operand values, constants
       filled in, ``None`` at argument- and producer-fed slots;
@@ -336,87 +322,190 @@ class RunTables:
     * ``arg_slots`` / ``phi_arg_slots`` — ``(nid, ((slot, arg_index),
       ...))`` for the nodes `bind` must copy: ``slot`` is an operand
       index, or a predecessor block id for a phi.
-    * ``is_mem``, ``decoders``, ``encoders`` — memory accesses and their
-      per-node value codecs (`_codecs`).
+    * ``is_mem`` — loads and stores; ``mem_root`` / ``mem_offset`` —
+      each access's interned root pointer argument (-1 = unknown) and
+      constant byte offset (None = symbolic), via
+      `repro.analysis.memdep.resolve_pointer`.
     * ``class_names`` / ``cls_ids`` — FU classes interned to small ints
       in node order, and each node's class id.
     * ``gate[nid]`` — the node's issue gate (``GATE_*``, -1 for none);
       there are ``GATE_POOL + len(class_names)`` gates.
     """
 
-    __slots__ = ("templates", "dep_binds", "phi_binds", "arg_slots",
-                 "phi_arg_slots", "is_mem", "decoders", "encoders",
-                 "class_names", "cls_ids", "gate")
+    # Closures do not pickle: built lazily once per graph, dropped on
+    # pickling and rebuilt on first use.
+    _evals: Optional[list] = None
+    _codecs: Optional[tuple] = None
 
-    def __init__(self, graph: "SimGraph") -> None:
-        n = graph.n_nodes
-        kind = graph.kind
+    def __init__(self, iface: LLVMInterface) -> None:
+        self.func_name = iface.func.name
+        func = iface.func
+        cdfg = iface.cdfg
+        record = cdfg.checked_record()
+        profile = iface.profile
+        read_pj_per_bit = profile.register.read_energy_pj_per_bit
+        write_pj_per_bit = profile.register.write_energy_pj_per_bit
+
+        insts: list[Instruction] = [i for b in func.blocks for i in b.instructions]
+        n = len(insts)
+        node_ids = {id(inst): nid for nid, inst in enumerate(insts)}
+        self.insts = insts
+        self.n_nodes = n
+        self.arg_count = len(func.args)
+        arg_index = {id(arg): i for i, arg in enumerate(func.args)}
+
+        # -- block tables ------------------------------------------------
+        block_ids = {b.name: i for i, b in enumerate(func.blocks)}
+        self.blocks = [[node_ids[id(i)] for i in b.instructions] for b in func.blocks]
+        self.entry_block = block_ids[func.entry.name]
+        self.block_of = [0] * n
+        for bid, nids in enumerate(self.blocks):
+            for nid in nids:
+                self.block_of[nid] = bid
+
+        # -- per-node kind / FU / latency / energy -----------------------
+        self.kind = [K_OTHER] * n
+        self.fu_class: list[str] = list(record.fu_class)
+        self.dedicated = [False] * n
+        self.pipelined = [True] * n
+        self.latency = [0] * n
+        self.pool_limit = [0] * n
+        self.dyn_energy = [0.0] * n
+        self.read_energy = [0.0] * n   # register reads at issue (pJ)
+        self.write_energy = [0.0] * n  # register write at commit (pJ)
+        self.issue_kind: list[Optional[str]] = [None] * n
+        self.produces_value = [inst.produces_value for inst in insts]
+        self.class_names: list[str] = []
+        self.cls_ids = [0] * n
+        self.gate = [-1] * n
+
+        # -- operands ----------------------------------------------------
         self.templates: list = [None] * n
         self.dep_binds: list = [None] * n
         self.phi_binds: list = [None] * n
         self.arg_slots: list = []
         self.phi_arg_slots: list = []
-        for nid, descs in enumerate(graph.operands):
-            if type(descs) is dict:  # phi: one incoming per predecessor
-                per_pred = {}
-                args = []
-                for pred_bid, (tag, payload) in descs.items():
-                    if tag == SRC_NODE:
-                        per_pred[pred_bid] = ([None], ((0, payload, False),))
-                    elif tag == SRC_ARG:
-                        per_pred[pred_bid] = ([None], ())
-                        args.append((pred_bid, payload))
-                    else:
-                        per_pred[pred_bid] = ([payload], ())
-                self.phi_binds[nid] = per_pred
-                if args:
-                    self.phi_arg_slots.append((nid, tuple(args)))
-                continue
-            aidx = graph.addr_index[nid]
-            vals: list = [None] * len(descs)
-            deps = []
-            args = []
-            for index, (tag, payload) in enumerate(descs):
-                if tag == SRC_CONST:
-                    vals[index] = payload
-                elif tag == SRC_ARG:
-                    args.append((index, payload))
+        self.addr_index = [-1] * n  # operand index carrying the address
+
+        # -- memory ------------------------------------------------------
+        self.is_mem = [False] * n
+        self.mem_size = [0] * n
+        self.mem_type = [None] * n  # value type, for byte conversion
+        self.mem_root = [-1] * n
+        self.mem_offset: list[Optional[int]] = [None] * n
+
+        # -- branches ----------------------------------------------------
+        self.br_cond = [False] * n
+        self.br_true = [-1] * n
+        self.br_false = [-1] * n
+
+        def lower(operand, index: int, vals: list, deps: list, args: list,
+                  is_addr: bool) -> None:
+            """Place one operand (same binding as
+            `RuntimeEngine._bind_operand`): a constant into ``vals``, an
+            argument into ``args``, a producer into ``deps``."""
+            if isinstance(operand, Constant):
+                vals[index] = operand.value
+            elif isinstance(operand, Argument):
+                args.append((index, arg_index[id(operand)]))
+            elif isinstance(operand, Instruction):
+                producer = node_ids.get(id(operand))
+                if producer is None:
+                    # Defined outside the function: never fetched, so
+                    # the dynamic engine binds it to 0.
+                    vals[index] = 0
                 else:
-                    deps.append((index, payload, index == aidx))
-            self.templates[nid] = vals
-            self.dep_binds[nid] = tuple(deps)
-            if args:
-                self.arg_slots.append((nid, tuple(args)))
+                    deps.append((index, producer, is_addr))
+            else:
+                raise TypeError(f"cannot lower operand {operand!r}")
 
-        self.is_mem = [k in (K_LOAD, K_STORE) for k in kind]
-        self.decoders: list = [None] * n
-        self.encoders: list = [None] * n
-        for nid in range(n):
-            if self.is_mem[nid]:
-                self.decoders[nid], self.encoders[nid] = _codecs(
-                    graph.mem_type[nid])
-
-        self.class_names: list[str] = []
-        index: dict[str, int] = {}
-        self.cls_ids = [0] * n
-        self.gate = [-1] * n
-        for nid, cls in enumerate(graph.fu_class):
-            ci = index.get(cls)
+        class_ids: dict[str, int] = {}
+        roots: dict[int, int] = {}
+        for nid, inst in enumerate(insts):
+            cls = record.fu_class[nid]
+            ci = class_ids.get(cls)
             if ci is None:
-                ci = index[cls] = len(self.class_names)
+                ci = class_ids[cls] = len(self.class_names)
                 self.class_names.append(cls)
             self.cls_ids[nid] = ci
-            if kind[nid] == K_LOAD:
-                self.gate[nid] = GATE_READ
-            elif kind[nid] == K_STORE:
-                self.gate[nid] = GATE_WRITE
-            elif kind[nid] == K_COMPUTE and not graph.dedicated[nid]:
-                self.gate[nid] = GATE_POOL + ci
+
+            if isinstance(inst, (Load, Store)):
+                is_load = isinstance(inst, Load)
+                value_type = inst.type if is_load else inst.value.type
+                self.kind[nid] = K_LOAD if is_load else K_STORE
+                self.gate[nid] = GATE_READ if is_load else GATE_WRITE
+                self.addr_index[nid] = 0 if is_load else 1
+                self.is_mem[nid] = True
+                self.mem_size[nid] = value_type.size_bytes()
+                self.mem_type[nid] = value_type
+                base, offset = resolve_pointer(inst.pointer)
+                if isinstance(base, Argument):
+                    self.mem_root[nid] = roots.setdefault(id(base), len(roots))
+                    self.mem_offset[nid] = offset
+            elif isinstance(inst, Branch):
+                self.kind[nid] = K_BRANCH
+                self.br_cond[nid] = inst.is_conditional
+                self.br_true[nid] = block_ids[inst.true_target.name]
+                if inst.is_conditional:
+                    self.br_false[nid] = block_ids[inst.false_target.name]
+            elif isinstance(inst, Ret):
+                self.kind[nid] = K_RET
+            elif cls != FU_NONE:
+                self.kind[nid] = K_COMPUTE
+                if record.fu_instance[nid] is None:
+                    self.gate[nid] = GATE_POOL + ci
+
+            # Operands (same shapes as RuntimeEngine._operands_for).
+            if isinstance(inst, Phi):
+                per_pred = {}
+                phi_args = []
+                for value, pred in inst.incoming:
+                    pred_bid = block_ids[pred.name]
+                    if pred_bid in per_pred:
+                        continue  # incoming_for returns the first matching edge
+                    vals, deps, args = [None], [], []
+                    lower(value, 0, vals, deps, args, False)
+                    per_pred[pred_bid] = (vals, tuple(deps))
+                    if args:
+                        phi_args.append((pred_bid, args[0][1]))
+                self.phi_binds[nid] = per_pred
+                if phi_args:
+                    self.phi_arg_slots.append((nid, tuple(phi_args)))
+            else:
+                if isinstance(inst, Branch):
+                    raw = [inst.condition] if inst.is_conditional else []
+                else:
+                    raw = inst.operands
+                aidx = self.addr_index[nid]
+                vals, deps, args = [None] * len(raw), [], []
+                for index, operand in enumerate(raw):
+                    lower(operand, index, vals, deps, args, index == aidx)
+                self.templates[nid] = vals
+                self.dep_binds[nid] = tuple(deps)
+                if args:
+                    self.arg_slots.append((nid, tuple(args)))
+
+            if cls != FU_NONE:
+                spec = profile.spec_for(cls)
+                self.dedicated[nid] = record.fu_instance[nid] is not None
+                self.pipelined[nid] = spec.pipelined
+                self.latency[nid] = iface.latency_for_class(cls)
+                self.pool_limit[nid] = cdfg.fu_counts.get(cls, 0)
+                self.dyn_energy[nid] = spec.dynamic_energy_pj
+                self.issue_kind[nid] = "fp" if cls.startswith("fp_") else "int"
+                bits = 0
+                for operand in inst.operands:
+                    if (isinstance(operand, (Instruction, Argument))
+                            and operand.type.is_scalar):
+                        bits += operand.type.bit_width()
+                self.read_energy[nid] = bits * read_pj_per_bit
+            if record.result_bits[nid]:
+                self.write_energy[nid] = record.result_bits[nid] * write_pj_per_bit
 
     def bind(self, args: list) -> tuple[list, list]:
         """``(templates, phi_binds)`` with this run's argument values in
         place.  Only the nodes with argument-fed slots get copies; every
-        other entry is the shared table's own, which no run writes to."""
+        other entry is the graph's own, which no run writes to."""
         templates = self.templates
         if self.arg_slots:
             templates = templates.copy()
@@ -435,168 +524,6 @@ class RunTables:
                 phi_binds[nid] = per_pred
         return templates, phi_binds
 
-
-class SimGraph:
-    """The compiled simulation graph: flat per-node arrays.
-
-    Node ids are program-order indices over ``func.blocks`` (identical
-    to `StaticNode.index`).  Every array below is indexed by node id.
-    """
-
-    # Built lazily once per graph and dropped on pickling: closures do
-    # not pickle, and the tables are cheaper to rebuild than to store.
-    _evals: Optional[list] = None
-    _run_tables: Optional[RunTables] = None
-
-    def __init__(self, iface: LLVMInterface) -> None:
-        self.func_name = iface.func.name
-        func = iface.func
-        cdfg = iface.cdfg
-        profile = iface.profile
-
-        insts: list[Instruction] = [i for b in func.blocks for i in b.instructions]
-        n = len(insts)
-        node_ids = {id(inst): nid for nid, inst in enumerate(insts)}
-        self.insts = insts
-        self.n_nodes = n
-        self.arg_count = len(func.args)
-        arg_index = {id(arg): i for i, arg in enumerate(func.args)}
-
-        # -- block tables ------------------------------------------------
-        self.block_ids = {b.name: i for i, b in enumerate(func.blocks)}
-        self.blocks = [[node_ids[id(i)] for i in b.instructions] for b in func.blocks]
-        self.entry_block = self.block_ids[func.entry.name]
-        self.block_of = [0] * n
-        for bid, nids in enumerate(self.blocks):
-            for nid in nids:
-                self.block_of[nid] = bid
-
-        # -- per-node kind / FU / latency / energy -----------------------
-        self.kind = [K_OTHER] * n
-        self.fu_class: list[str] = [FU_NONE] * n
-        self.dedicated = [False] * n
-        self.pipelined = [True] * n
-        self.latency = [0] * n
-        self.pool_limit = [0] * n
-        self.dyn_energy = [0.0] * n
-        self.read_energy = [0.0] * n   # register reads at issue (pJ)
-        self.write_energy = [0.0] * n  # register write at commit (pJ)
-        self.issue_kind: list[Optional[str]] = [None] * n
-        self.produces_value = [False] * n
-
-        # -- operands ----------------------------------------------------
-        #: list of descriptors per node; for phis, a dict keyed by
-        #: predecessor block id holding the single incoming descriptor.
-        self.operands: list = [None] * n
-        self.addr_index = [-1] * n  # operand index carrying the address
-
-        # -- memory ------------------------------------------------------
-        self.mem_size = [0] * n
-        self.mem_type = [None] * n  # value type, for byte conversion
-        # Static disambiguation (repro.analysis.memdep): interned root
-        # pointer id (-1 = unknown) and constant byte offset (None =
-        # symbolic) per access.
-        self.mem_root = [-1] * n
-        self.mem_offset: list[Optional[int]] = [None] * n
-
-        # -- branches ----------------------------------------------------
-        self.br_cond = [False] * n
-        self.br_true = [-1] * n
-        self.br_false = [-1] * n
-
-        for nid, inst in enumerate(insts):
-            node = cdfg.node_for(inst)
-            assert node.index == nid
-            self.produces_value[nid] = inst.produces_value
-
-            # Operand descriptors (same shapes as RuntimeEngine._operands_for).
-            if isinstance(inst, Phi):
-                incoming = {}
-                for value, pred in inst.incoming:
-                    desc = _operand_descriptor(value, node_ids)
-                    if desc[0] == SRC_ARG:
-                        desc = (SRC_ARG, arg_index[id(desc[1])])
-                    # incoming_for returns the first matching edge.
-                    incoming.setdefault(self.block_ids[pred.name], desc)
-                self.operands[nid] = incoming
-            else:
-                if isinstance(inst, Branch):
-                    raw = [inst.condition] if inst.is_conditional else []
-                else:
-                    raw = list(inst.operands)
-                descs = []
-                for operand in raw:
-                    desc = _operand_descriptor(operand, node_ids)
-                    if desc[0] == SRC_ARG:
-                        desc = (SRC_ARG, arg_index[id(desc[1])])
-                    descs.append(desc)
-                self.operands[nid] = descs
-
-            if isinstance(inst, Load):
-                self.kind[nid] = K_LOAD
-                self.addr_index[nid] = 0
-                self.mem_size[nid] = inst.type.size_bytes()
-                self.mem_type[nid] = inst.type
-            elif isinstance(inst, Store):
-                self.kind[nid] = K_STORE
-                self.addr_index[nid] = 1
-                self.mem_size[nid] = inst.value.type.size_bytes()
-                self.mem_type[nid] = inst.value.type
-            elif isinstance(inst, Branch):
-                self.kind[nid] = K_BRANCH
-                self.br_cond[nid] = inst.is_conditional
-                self.br_true[nid] = self.block_ids[inst.true_target.name]
-                if inst.is_conditional:
-                    self.br_false[nid] = self.block_ids[inst.false_target.name]
-            elif isinstance(inst, Ret):
-                self.kind[nid] = K_RET
-            elif node.is_compute:
-                self.kind[nid] = K_COMPUTE
-
-            if node.is_compute:
-                spec = profile.spec_for(node.fu_class)
-                self.fu_class[nid] = node.fu_class
-                self.dedicated[nid] = node.fu_instance is not None
-                self.pipelined[nid] = spec.pipelined
-                self.latency[nid] = iface.latency_for_class(node.fu_class)
-                self.pool_limit[nid] = cdfg.fu_counts.get(node.fu_class, 0)
-                self.dyn_energy[nid] = spec.dynamic_energy_pj
-                self.issue_kind[nid] = (
-                    "fp" if node.fu_class.startswith("fp_") else "int"
-                )
-                bits = 0
-                for operand in inst.operands:
-                    if (isinstance(operand, (Instruction, Argument))
-                            and operand.type.is_scalar):
-                        bits += operand.type.bit_width()
-                self.read_energy[nid] = (
-                    bits * profile.register.read_energy_pj_per_bit
-                )
-            if node.result_bits:
-                self.write_energy[nid] = (
-                    node.result_bits * profile.register.write_energy_pj_per_bit
-                )
-
-        self._lower_memdep(iface)
-
-    # ------------------------------------------------------------------
-    def _lower_memdep(self, iface: LLVMInterface) -> None:
-        """Root/offset facts per access, via `repro.analysis.memdep`."""
-        from repro.analysis.memdep import collect_accesses
-
-        node_ids = {id(inst): nid for nid, inst in enumerate(self.insts)}
-        roots: dict[int, int] = {}
-        for access in collect_accesses(iface.func):
-            nid = node_ids.get(id(access.inst))
-            if nid is None:
-                continue
-            base = access.base
-            if isinstance(base, Argument):
-                root = roots.setdefault(id(base), len(roots))
-                self.mem_root[nid] = root
-                self.mem_offset[nid] = access.offset
-        self.mem_roots_count = len(roots)
-
     # ------------------------------------------------------------------
     @property
     def evals(self) -> list:
@@ -606,11 +533,17 @@ class SimGraph:
         return self._evals
 
     @property
-    def run_tables(self) -> RunTables:
-        """The scheduler's run-invariant per-node tables (`RunTables`)."""
-        if self._run_tables is None:
-            self._run_tables = RunTables(self)
-        return self._run_tables
+    def codecs(self) -> tuple[list, list]:
+        """``(decoders, encoders)``: each memory access's value codecs
+        (`_value_codecs`), ``None`` for every other node."""
+        if self._codecs is None:
+            decoders: list = [None] * self.n_nodes
+            encoders: list = [None] * self.n_nodes
+            for nid, value_type in enumerate(self.mem_type):
+                if value_type is not None:
+                    decoders[nid], encoders[nid] = _value_codecs(value_type)
+            self._codecs = decoders, encoders
+        return self._codecs
 
     def _build_evals(self) -> list:
         """Per-node thunks, specialized for the hot opcodes.
@@ -652,7 +585,7 @@ class SimGraph:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_evals", None)
-        state.pop("_run_tables", None)
+        state.pop("_codecs", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -13,7 +13,7 @@ ready heap, and each op that cannot issue waits for the next cycle.
 Most refusals come from a shared resource that stays full for the rest
 of the cycle: the read queue, the write queue, or a pooled FU class at
 its limit (nothing frees a slot or a unit mid-issue).  That resource is
-the op's *gate* (`RunTables.gate`); the gate is tested before the
+the op's *gate* (`SimGraph.gate`); the gate is tested before the
 conflict scan and the FU acquire.  A refused op is *parked* behind its
 gate, in seq order, instead of going back on the heap.  Next cycle the
 gate's parked ops return to the heap one at a time: the first at the
@@ -55,9 +55,9 @@ accumulation (same addition order, so no float drift), occupancy
 record, and memory image byte matches `RuntimeEngine`, and a run that
 issues a trap node fails with the same `EngineError` text.  Where the
 dynamic engine consults live objects (profile specs, CDFG nodes), this
-loop reads the flat arrays `compile_graph` precomputed and the graph's
-`RunTables`, built once per graph; a run binds only its argument
-values.  Memory goes one of two ways:
+loop reads the flat arrays and operand tables `compile_graph` built
+once per graph; a run binds only its argument values (`SimGraph.bind`).
+Memory goes one of two ways:
 
 * **Inline model**, when the unit hands over its private SPM
   (`ComputeUnit.inline_spm`: the memctrl's only route is that SPM, the
@@ -328,21 +328,18 @@ class GraphScheduler:
         engine_name = engine.name
         commit_name = f"{engine_name}.commit"
 
-        # -- run-invariant tables, built once per graph (`RunTables`);
-        # this run binds its argument values into the operand templates.
-        # ``init_vals[nid]`` is the operand value list with ``None`` at
-        # producer-fed slots (shared, not copied, when a node has no
-        # producer-fed slots — nothing ever writes to it then);
+        # -- the graph's operand tables, with this run's argument values
+        # bound in.  ``init_vals[nid]`` is the operand value list with
+        # ``None`` at producer-fed slots (shared, not copied, when a node
+        # has no producer-fed slots — nothing ever writes to it then);
         # ``dep_binds[nid]`` lists ``(index, producer_nid, is_addr)``.
-        tables = g.run_tables
-        init_vals, phi_binds = tables.bind(args)
-        dep_binds = tables.dep_binds
-        is_mem = tables.is_mem
-        decoders = tables.decoders
-        encoders = tables.encoders
-        cls_ids = tables.cls_ids
-        class_names = tables.class_names
-        gate_of = tables.gate
+        init_vals, phi_binds = g.bind(args)
+        dep_binds = g.dep_binds
+        is_mem = g.is_mem
+        decoders, encoders = g.codecs
+        cls_ids = g.cls_ids
+        class_names = g.class_names
+        gate_of = g.gate
 
         # -- run state ---------------------------------------------------
         seq = 0

@@ -18,6 +18,17 @@ from repro.sim.eventq import SimulationHang
 #: How many trailing traceback lines to keep on a record.
 TRACEBACK_TAIL_LINES = 12
 
+#: Ceiling for a job server job's exponential retry backoff.
+RETRY_BACKOFF_CAP_S = 30.0
+
+
+def retry_delay(backoff_s: float, attempt: int,
+                cap_s: float = RETRY_BACKOFF_CAP_S) -> float:
+    """Deterministic exponential backoff: ``backoff * 2^(attempt-1)``,
+    capped — attempt 1 waits ``backoff_s``, 2 waits double, ...  The
+    one schedule for retried sweep workers and retried server jobs."""
+    return min(backoff_s * (2 ** max(0, attempt - 1)), cap_s)
+
 
 @dataclass
 class FailureRecord:

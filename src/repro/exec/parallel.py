@@ -32,7 +32,7 @@ Sweeps are *hardened*: a point that crashes, hangs (watchdog), or
 exceeds ``point_timeout`` yields a `SweepPoint` carrying a
 `FailureRecord` while every other point completes normally.  Crashed
 workers are retried up to ``retries`` times with deterministic
-exponential backoff (capped by ``retry_backoff_cap_s``);
+exponential backoff (capped at `SWEEP_BACKOFF_CAP_S`);
 ``strict=True`` restores fail-fast semantics.
 
 Sweeps are also *resumable*: the parent puts every successful point
@@ -54,11 +54,14 @@ from typing import Callable, Iterable, Optional
 
 from repro.exec.cache import RunCache, run_cache_key
 from repro.exec.context import SimContext
-from repro.exec.failures import FailureRecord, SweepPointError
+from repro.exec.failures import FailureRecord, SweepPointError, retry_delay
 from repro.faults import FaultPlan, watchdog_spec
 from repro.system.soc import RunResult
 from repro.trace import TraceConfig
 from repro.workloads.base import Workload
+
+#: Ceiling for the backoff before a sweep resubmits lost points.
+SWEEP_BACKOFF_CAP_S = 5.0
 
 
 @dataclass
@@ -201,11 +204,10 @@ class ParallelSweep:
     #: How many times to resubmit points lost to a crashed worker
     #: process before falling back to in-process serial execution.
     #: Retry N sleeps ``retry_backoff_s * 2^(N-1)`` seconds, capped at
-    #: ``retry_backoff_cap_s`` — deterministic (no jitter) so schedules
+    #: `SWEEP_BACKOFF_CAP_S` — deterministic (no jitter) so schedules
     #: are testable and reproducible.
     retries: int = 0
     retry_backoff_s: float = 0.1
-    retry_backoff_cap_s: float = 5.0
     #: Fail-fast: re-raise the first point failure as `SweepPointError`
     #: instead of degrading gracefully.
     strict: bool = False
@@ -316,11 +318,8 @@ class ParallelSweep:
         return points
 
     def retry_delay(self, attempt: int) -> float:
-        """Seconds to wait before retry ``attempt`` (1-based):
-        ``retry_backoff_s * 2^(attempt-1)``, capped — exponential but
-        deterministic, so the schedule is testable."""
-        return min(self.retry_backoff_s * (2 ** max(0, attempt - 1)),
-                   self.retry_backoff_cap_s)
+        """Seconds to wait before retry ``attempt`` (1-based)."""
+        return retry_delay(self.retry_backoff_s, attempt, SWEEP_BACKOFF_CAP_S)
 
     # ------------------------------------------------------------------
     def _prebuild(self, workload: Workload,

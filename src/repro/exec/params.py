@@ -86,6 +86,35 @@ CONFIG_MEMORY_FIELDS = frozenset({
 })
 
 
+def accelerator_kwargs(*, ports: int = 2, memory: str = "spm",
+                       unroll: int = 1, clock_mhz: float = 100.0,
+                       fu_limits: Optional[dict[str, int]] = None,
+                       spm_bytes: int = 1 << 16) -> dict:
+    """`StandaloneAccelerator` kwargs for one run's parameters.
+
+    The one mapping ``repro run``, ``repro sweep`` and the job server's
+    run and sweep jobs share, so the same parameters give the same
+    run-cache key however they arrive.  ``ports`` read ports and half as
+    many write ports (at least one); an SPM-backed run also gets
+    ``ports`` SPM read ports.  Raises ``ValueError`` for an unknown
+    ``memory``.
+    """
+    from repro.core.config import DeviceConfig
+
+    if memory not in ("spm", "cache", "ideal"):
+        raise ValueError(f"bad memory '{memory}' (spm|cache|ideal)")
+    config = DeviceConfig(
+        clock_freq_hz=clock_mhz * 1e6,
+        read_ports=ports,
+        write_ports=max(1, ports // 2),
+        fu_limits=dict(fu_limits or {}),
+    )
+    kwargs = dict(config=config, memory=memory, unroll_factor=unroll)
+    if memory in ("spm", "ideal"):
+        kwargs.update(spm_bytes=spm_bytes, spm_read_ports=ports)
+    return kwargs
+
+
 def classify_param(name: str) -> Optional[str]:
     """``"datapath"`` / ``"memory"`` / ``"execution"``, or None when the
     parameter is unclassified (consumers treat that as datapath-side)."""
@@ -153,6 +182,7 @@ __all__ = [
     "EXECUTION_PARAMS",
     "CONFIG_DATAPATH_FIELDS",
     "CONFIG_MEMORY_FIELDS",
+    "accelerator_kwargs",
     "classify_param",
     "split_device_config",
     "split_acc_kwargs",

@@ -35,7 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from repro.exec.cache import RunCache, run_cache_key
-from repro.exec.failures import FailureRecord
+from repro.exec.failures import FailureRecord, retry_delay
+from repro.exec.params import accelerator_kwargs
 from repro.serve.jobs import JOB_KINDS, Job, JobQueue
 
 
@@ -43,38 +44,27 @@ class SpecError(ValueError):
     """A job spec the workers cannot execute (client error, HTTP 400)."""
 
 
-#: Ceiling for the per-job exponential retry backoff.
-RETRY_BACKOFF_CAP_S = 30.0
-
-
 # ----------------------------------------------------------------------
 # Spec handling
 # ----------------------------------------------------------------------
 def run_spec_kwargs(spec: dict) -> dict:
-    """`StandaloneAccelerator` kwargs for a run/sweep spec.
-
-    Mirrors ``repro run``'s defaults exactly, so a job submitted over
-    HTTP and a CLI run of the same parameters share one run-cache key.
+    """`StandaloneAccelerator` kwargs for a run/sweep spec, through
+    `repro.exec.params.accelerator_kwargs` as ``repro run`` does, so a
+    job submitted over HTTP and a CLI run of the same parameters share
+    one run-cache key.
     """
-    from repro.core.config import DeviceConfig
-
-    ports = int(spec.get("ports", 2))
-    memory = spec.get("memory", "spm")
-    if memory not in ("spm", "cache", "ideal"):
-        raise SpecError(f"bad memory '{memory}' (spm|cache|ideal)")
-    config = DeviceConfig(
-        clock_freq_hz=float(spec.get("clock_mhz", 100.0)) * 1e6,
-        read_ports=ports,
-        write_ports=max(1, ports // 2),
+    params = dict(
+        ports=int(spec.get("ports", 2)),
+        unroll=int(spec.get("unroll", 1)),
+        clock_mhz=float(spec.get("clock_mhz", 100.0)),
         fu_limits={str(k): int(v)
                    for k, v in (spec.get("fu_limits") or {}).items()},
+        spm_bytes=int(spec.get("spm_bytes", 1 << 16)),
     )
-    kwargs = dict(config=config, memory=memory,
-                  unroll_factor=int(spec.get("unroll", 1)))
-    if memory in ("spm", "ideal"):
-        kwargs.update(spm_bytes=int(spec.get("spm_bytes", 1 << 16)),
-                      spm_read_ports=ports)
-    return kwargs
+    try:
+        return accelerator_kwargs(memory=spec.get("memory", "spm"), **params)
+    except ValueError as exc:  # an unknown memory configuration
+        raise SpecError(str(exc)) from None
 
 
 def _spec_workload(spec: dict):
@@ -125,13 +115,6 @@ def job_retry_policy(spec: dict) -> tuple[int, float]:
     except (TypeError, ValueError):
         backoff_s = 0.5
     return retries, backoff_s
-
-
-def retry_delay(backoff_s: float, attempt: int,
-                cap_s: float = RETRY_BACKOFF_CAP_S) -> float:
-    """Deterministic exponential backoff: ``backoff * 2^(attempt-1)``,
-    capped — attempt 1 waits ``backoff_s``, 2 waits double, ..."""
-    return min(backoff_s * (2 ** max(0, attempt - 1)), cap_s)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +171,6 @@ def _job_run(spec: dict, state: "ServerState", publish) -> dict:
 
 
 def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
-    from repro.core.config import DeviceConfig
     from repro.dse import pareto_front
     from repro.exec.parallel import ParallelSweep
 

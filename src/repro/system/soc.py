@@ -12,7 +12,7 @@ used for the end-to-end experiments (Table III, Fig. 16).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -111,7 +111,8 @@ class StandaloneAccelerator:
         self.memory = memory
         self.config = config or DeviceConfig()
         if memory == "ideal":
-            self.config.ideal_memory = True
+            # A copy: the caller's config may serve other runs.
+            self.config = replace(self.config, ideal_memory=True)
         self.profile = profile or default_profile(self.config.cycle_time_ns)
         if isinstance(source, (Module, Artifact)):
             # Prebuilt upstream (e.g. compiled once by the sweep parent

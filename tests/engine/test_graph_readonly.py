@@ -8,13 +8,13 @@ datapath, so no run may write to either.  Here one shared gemm graph
 and record serve spm, cache and ideal runs, a fault-injected run, an
 ``engine="dynamic"`` run (which reads the record through the CDFG's
 nodes) and four of those runs on four threads at once (serve's workers
-share a store).  After each, the graph and the record pickle to the same
-bytes, the graph's `RunTables` (built once, on first use, and held with
-the graph) are the same object with the same contents, and the run's
-`RunResult` JSON equals that of a run on a freshly elaborated and
-lowered datapath.  The spm, cache and ideal runs stage their arguments
-at different addresses, which each run binds into its own copies of the
-templates.
+share a store).  After each, the graph (its operand tables included) and
+the record pickle to the same bytes, the graph's closures (eval thunks
+and memory codecs, built once, on first use, and held with the graph)
+are the same objects, and the run's `RunResult` JSON equals that of a
+run on a freshly elaborated and lowered datapath.  The spm, cache and
+ideal runs stage their arguments at different addresses, which each run
+binds into its own copies of the templates.
 
 The record is shared across private module copies (every module hit is
 one), so it must never lead a unit to another copy's instructions:
@@ -75,34 +75,31 @@ def _freeze(value, callables=id):
     return value
 
 
-def _tables(graph, callables=id):
-    tables = graph.run_tables
-    return {name: _freeze(getattr(tables, name), callables)
-            for name in type(tables).__slots__}
+def _closures(graph, callables=id):
+    """Snapshot of the graph's lazily built closures."""
+    return _freeze((graph.evals, graph.codecs), callables)
 
 
 @pytest.fixture(scope="module")
 def shared():
     """A store holding one lowered gemm graph and its elaboration
     record, their pickles taken before any run, and a snapshot of the
-    graph's run tables."""
+    graph's closures."""
     store = ArtifactStore()
     unit = SimContext(get_workload("gemm"), seed=7, verify=False,
                       artifact_store=store).build().unit
     graph, record = unit.graph(), unit.iface.cdfg.record
     return (store, graph, record, pickle.dumps((graph, record)),
-            (graph.run_tables, _tables(graph)))
+            _closures(graph))
 
 
-def _assert_tables_unchanged(graph, tables):
-    built, snapshot = tables
-    assert graph.run_tables is built
-    assert _tables(graph) == snapshot
+def _assert_closures_unchanged(graph, closures):
+    assert _closures(graph) == closures
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_run_leaves_shared_graph_unchanged(shared, fresh, name):
-    store, graph, record, before, tables = shared
+    store, graph, record, before, closures = shared
     ctx, result = _run(store, **POINTS[name])
     assert ctx.engine_used == POINTS[name].get("engine", "graph")
     assert _record(ctx) is record
@@ -113,40 +110,56 @@ def test_run_leaves_shared_graph_unchanged(shared, fresh, name):
     if "faults" in POINTS[name]:
         assert ctx.fault_injector.injected  # the fault fired
     assert pickle.dumps((graph, record)) == before
-    _assert_tables_unchanged(graph, tables)
+    _assert_closures_unchanged(graph, closures)
     assert result == fresh[name]
 
 
-def test_runs_at_different_addresses_share_run_tables(shared, fresh):
-    store, graph, record, before, tables = shared
+def test_graph_miss_binds_no_static_nodes():
+    # Lowering reads the elaboration record itself: only the dynamic
+    # engine pairs it with instructions.
+    ctx = SimContext(get_workload("gemm_dse"), seed=7,
+                     artifact_store=ArtifactStore())
+    STAGE_COUNTERS.reset()
+    ctx.run()
+    assert ctx.engine_used == "graph"
+    assert STAGE_COUNTERS.snapshot()["graph"] == 1  # lowered here
+    assert ctx.accelerator.unit.iface.cdfg._nodes is None
+
+
+def test_runs_at_different_addresses_share_operand_tables(shared, fresh):
+    store, graph, record, before, closures = shared
     staged = {}
     for name in ("spm", "cache", "ideal", "spm+bit_flip"):
         ctx, result = _run(store, **POINTS[name])
         assert ctx.accelerator.unit.graph() is graph
         staged[name] = tuple(ctx.accelerator.unit.launch_log[0][1])
         assert result == fresh[name]
-        _assert_tables_unchanged(graph, tables)
+        _assert_closures_unchanged(graph, closures)
     assert staged["spm"] != staged["cache"]
+    assert graph.arg_slots  # gemm's GEPs read its pointer arguments
     assert pickle.dumps((graph, record)) == before
 
 
-def test_pickled_graph_rebuilds_run_tables_lazily(shared):
+def test_pickled_graph_rebuilds_closures_lazily(shared):
     graph = shared[1]
-    assert graph.run_tables is not None and graph.evals is not None
+    assert graph.evals is not None and graph.codecs is not None
     clone = pickle.loads(pickle.dumps(graph))
-    assert "_run_tables" not in clone.__dict__
     assert "_evals" not in clone.__dict__
-    assert clone.run_tables is clone.run_tables  # built once, on first use
-    # Closures cannot be compared across the copies; everything else is
-    # rebuilt equal, with a codec wherever the original has one.
-    assert (_tables(clone, lambda fn: "callable")
-            == _tables(graph, lambda fn: "callable"))
+    assert "_codecs" not in clone.__dict__
+    assert clone.codecs is clone.codecs  # built once, on first use
+    # The operand tables travel in the pickle.
+    assert clone.templates == graph.templates
+    assert clone.phi_binds == graph.phi_binds
+    # Closures cannot be compared across the copies; they are rebuilt
+    # with one wherever the original has one.
+    assert (_closures(clone, lambda fn: "callable")
+            == _closures(graph, lambda fn: "callable"))
 
 
 def test_concurrent_runs_share_graph_read_only(shared, fresh):
     # Four threads switching often, so the runs interleave inside the
     # scheduler's loop.
-    store, graph, record, before, tables = shared
+    store, graph, record, before, closures = shared
     names = ["spm", "cache", "ideal", "dynamic"]
     outcomes: dict = {}
 
@@ -171,7 +184,7 @@ def test_concurrent_runs_share_graph_read_only(shared, fresh):
             assert ctx.accelerator.unit.graph() is graph
         assert result == fresh[name]
     assert pickle.dumps((graph, record)) == before
-    _assert_tables_unchanged(graph, tables)
+    _assert_closures_unchanged(graph, closures)
 
 
 @pytest.mark.parametrize("first", ["dynamic", "graph"])

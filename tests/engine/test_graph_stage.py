@@ -5,8 +5,10 @@ artifact keyed by the module fingerprint + device config + profile (+
 format version), so the artifact store amortizes lowering across runs
 exactly like the frontend compile."""
 
+import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.build.artifact import ARTIFACT_KINDS, ElaboratedDesign
@@ -14,6 +16,7 @@ from repro.build.pipeline import STAGE_COUNTERS, BuildPipeline
 from repro.build.store import ArtifactStore
 from repro.engine import GRAPH_FORMAT_VERSION, compile_graph, graph_key
 from repro.exec.context import SimContext
+from repro.system.soc import StandaloneAccelerator
 from repro.workloads import get_workload
 
 
@@ -92,3 +95,40 @@ def test_graph_sweep_matches_dynamic_sweep():
         for p in points
     ]
     assert [p.result.to_dict() for p in points] == dynamic
+
+
+# ``x`` enters the loop as the argument ``n``: a phi with an
+# argument-fed incoming, which no shipped workload lowers.
+COUNTDOWN = """
+void countdown(int n, double a[16]) {
+  int x = n;
+  for (int i = 0; i < 16; i++) {
+    a[i] = x;
+    x--;
+  }
+}
+"""
+
+
+def _countdown(engine, n, store=None):
+    acc = StandaloneAccelerator(COUNTDOWN, "countdown", engine=engine,
+                                artifact_store=store)
+    a = acc.alloc(16 * 8)
+    result = acc.run([n, a])
+    assert acc.read_array(a, np.float64, 16).tolist() == [
+        float(n - i) for i in range(16)]
+    return acc, json.dumps(result.to_dict(), sort_keys=True)
+
+
+def test_argument_fed_phi_matches_dynamic(tmp_path, launched):
+    acc, lowered = _countdown("graph", 20, ArtifactStore(tmp_path))
+    assert acc.unit.graph().phi_arg_slots
+    assert lowered == _countdown("dynamic", 20)[1]
+    # A reopened store reads the graph back from disk, and a run with
+    # another argument binds its own value into the phi.
+    STAGE_COUNTERS.reset()
+    acc, reread = _countdown("graph", -3, ArtifactStore(tmp_path))
+    assert STAGE_COUNTERS.snapshot()["graph"] == 0
+    assert acc.unit.graph().phi_arg_slots
+    assert reread == _countdown("dynamic", -3)[1]
+    assert launched == ["graph", "dynamic", "graph", "dynamic"]

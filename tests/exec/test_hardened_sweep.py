@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import DeviceConfig
 from repro.core.occupancy import OccupancyTracker
 from repro.exec import FailureRecord, ParallelSweep, SweepPointError
-from repro.exec.parallel import SweepPoint
+from repro.exec.parallel import SWEEP_BACKOFF_CAP_S, SweepPoint
 from repro.workloads import get_workload
 
 PORTS = [1, 2, 4, 8]
@@ -117,9 +117,10 @@ def test_failed_cache_write_is_not_mistaken_for_a_pool_crash():
 
 # -- retry backoff -----------------------------------------------------------
 def test_retry_backoff_schedule_is_exponential_and_capped():
-    executor = ParallelSweep(retry_backoff_s=0.1, retry_backoff_cap_s=1.0)
+    executor = ParallelSweep(retry_backoff_s=0.625)
     assert [executor.retry_delay(n) for n in (1, 2, 3, 4, 5, 6)] \
-        == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+        == [0.625, 1.25, 2.5, 5.0, 5.0, 5.0]
+    assert SWEEP_BACKOFF_CAP_S == 5.0
     # Deterministic: the same attempt always waits the same time.
     assert executor.retry_delay(3) == executor.retry_delay(3)
 
@@ -127,7 +128,7 @@ def test_retry_backoff_schedule_is_exponential_and_capped():
 def test_backoff_defaults_start_where_the_linear_schedule_did():
     executor = ParallelSweep()
     assert executor.retry_delay(1) == 0.1
-    assert executor.retry_delay(100) == executor.retry_backoff_cap_s
+    assert executor.retry_delay(100) == SWEEP_BACKOFF_CAP_S
 
 
 # -- failure records ---------------------------------------------------------

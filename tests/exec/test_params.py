@@ -10,6 +10,8 @@ classifying it a test failure, not a silent key-sharing hazard.
 
 import inspect
 
+import pytest
+
 from repro.core.config import DeviceConfig
 from repro.exec.cache import run_cache_key, split_cache_key
 from repro.exec.params import (
@@ -124,3 +126,62 @@ def test_flat_key_is_a_digest_of_the_split_pair():
     other = run_cache_key(GEMM.source, GEMM.func_name, seed=7,
                           memory="spm", spm_read_ports=2, unroll_factor=2)
     assert flat_a != other
+
+
+# -- one mapping from run parameters to accelerator kwargs ---------------
+class _Keyed(Exception):
+    """Stops a CLI command once its run-cache key is known."""
+
+
+def _cli_keys(monkeypatch, argv):
+    """The run-cache keys ``repro <argv>`` would look up, one per point."""
+    import repro.exec
+    from repro.cli import main
+    from repro.exec.cache import run_cache_key
+
+    keys = []
+
+    class KeyedContext(repro.exec.SimContext):
+        def run(self):
+            keys.append(self.cache_key())
+            raise _Keyed
+
+    class KeyedSweep:
+        def __init__(self, **kwargs):
+            pass
+
+        def run(self, workload, grid, configure, seed=7):
+            for ports in grid["ports"]:
+                keys.append(run_cache_key(workload.source, workload.func_name,
+                                          seed=seed,
+                                          **configure({"ports": ports})))
+            raise _Keyed
+
+    monkeypatch.setattr(repro.exec, "SimContext", KeyedContext)
+    monkeypatch.setattr(repro.exec, "ParallelSweep", KeyedSweep)
+    with pytest.raises(_Keyed):
+        main(argv)
+    return keys
+
+
+@pytest.mark.parametrize("memory", ["spm", "cache", "ideal"])
+def test_cli_run_and_serve_spec_share_run_cache_key(monkeypatch, memory):
+    from repro.serve.workers import job_dedup_key
+
+    key, = _cli_keys(monkeypatch, [
+        "run", "gemm_dse", "--memory", memory, "--ports", "4",
+        "--unroll", "2", "--clock-mhz", "200", "--fu-limit", "fp_add=2"])
+    spec = {"workload": "gemm_dse", "memory": memory, "ports": 4,
+            "unroll": 2, "clock_mhz": 200, "fu_limits": {"fp_add": 2}}
+    assert job_dedup_key("run", spec) == f"run:{key}"
+
+
+def test_cli_sweep_points_share_run_cache_key_with_serve_specs(monkeypatch):
+    from repro.serve.workers import job_dedup_key
+
+    keys = _cli_keys(monkeypatch, ["sweep", "gemm_dse", "--ports", "1", "4",
+                                   "--unroll", "2"])
+    assert keys == [
+        job_dedup_key("run", {"workload": "gemm_dse", "ports": ports,
+                              "unroll": 2})[len("run:"):]
+        for ports in (1, 4)]

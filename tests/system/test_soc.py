@@ -163,3 +163,21 @@ def test_two_accelerators_in_cluster(rng):
         spm = unit.private_spm
         out = spm.image.read_array(spm.range.start + 1024, np.float64, 64)
         assert np.allclose(out, a + a)
+
+
+def test_ideal_run_leaves_caller_config_unchanged():
+    # One config reused across memory configurations, as a sweep's
+    # configure callback might: the ideal run must not turn the later
+    # spm run ideal too.
+    from repro.core.config import DeviceConfig
+    from repro.exec.context import SimContext
+    from repro.workloads import get_workload
+
+    config = DeviceConfig(read_ports=1, write_ports=1)
+    cycles = [
+        SimContext(get_workload("stencil3d"), seed=7, config=config,
+                   memory=memory, unroll_factor=4).run().cycles
+        for memory in ("spm", "ideal", "spm")
+    ]
+    assert not config.ideal_memory
+    assert cycles[0] == cycles[2] != cycles[1]
