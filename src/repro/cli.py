@@ -125,7 +125,7 @@ def cmd_elaborate(args: argparse.Namespace) -> int:
     print(f"function        : {func_name}")
     _print_artifact(artifact, store)
     print(f"instructions    : {iface.cdfg.total_instructions()}")
-    print(f"basic blocks    : {len(iface.cdfg.blocks)}")
+    print(f"basic blocks    : {len(iface.cdfg.func.blocks)}")
     print(f"register bits   : {iface.cdfg.register_bits}")
     print("functional units:")
     for fu_class, count in sorted(iface.cdfg.fu_counts.items()):

@@ -212,7 +212,7 @@ class StaticCDFG:
         return {
             "function": self.func.name,
             "instructions": self.total_instructions(),
-            "blocks": len(self.blocks),
+            "blocks": len(self.func.blocks),
             "register_bits": self.register_bits,
             "fu_counts": dict(sorted(self.fu_counts.items())),
         }

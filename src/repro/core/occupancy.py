@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+#: Issue kinds, in the order a cycle that issued several of them
+#: records them: the key order of ``issue_kind_cycles`` is first-issue
+#: cycle, then this order (not the process's string-hash order).
+ISSUE_KINDS = ("load", "store", "fp", "int")
+
+
 @dataclass
 class OccupancyTracker:
     cycles: int = 0
@@ -62,7 +68,7 @@ class OccupancyTracker:
             self.issued_ops += len(issued)
             for fu_class in issued:
                 self.issued_by_class[fu_class] = self.issued_by_class.get(fu_class, 0) + 1
-            for kind in issued_kinds:
+            for kind in sorted(issued_kinds, key=ISSUE_KINDS.index):
                 self.issue_kind_cycles[kind] = self.issue_kind_cycles.get(kind, 0) + 1
         elif outstanding_kinds:
             self.stall_cycles += 1

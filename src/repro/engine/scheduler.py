@@ -129,6 +129,7 @@ import heapq
 import sys
 from typing import Callable, Optional
 
+from repro.core.occupancy import ISSUE_KINDS
 from repro.core.runtime import (
     COMMITTED,
     ISSUED,
@@ -281,7 +282,6 @@ class GraphScheduler:
         produces_value = g.produces_value
         blocks = g.blocks
         block_of = g.block_of
-        fu_class = g.fu_class
         dedicated = g.dedicated
         pipelined = g.pipelined
         latency = g.latency
@@ -424,10 +424,8 @@ class GraphScheduler:
         occ_issue_cycles = 0
         occ_stall_cycles = 0
         occ_idle_cycles = 0
-        occ_issued_ops = 0
         occ_issued_total = 0
         occ_blocked_ops = 0
-        occ_issued_by_class: dict[str, int] = {}
         occ_issue_kind_cycles: dict[str, int] = {}
         occ_blocked_by_kind: dict[str, int] = {}
         occ_fu_busy: dict[str, int] = {}
@@ -438,6 +436,14 @@ class GraphScheduler:
             frozenset(("load", "compute")), frozenset(("store", "compute")),
             frozenset(("load", "store", "compute")),
         )
+        # A cycle's issue kinds are a 4-bit mask (bit i: ISSUE_KINDS[i]);
+        # ``kind_table[mask]`` lists them in the tracker's recording order.
+        kind_bit = {name: 1 << i for i, name in enumerate(ISSUE_KINDS)}
+        load_bit = kind_bit["load"]
+        store_bit = kind_bit["store"]
+        kind_table = tuple(
+            tuple(name for i, name in enumerate(ISSUE_KINDS) if mask >> i & 1)
+            for mask in range(1 << len(ISSUE_KINDS)))
 
         # Counters written back into the engine's stats at the end.
         n_cycles = 0
@@ -536,18 +542,6 @@ class GraphScheduler:
                 stall_order.append(ci)
             fu_stalled_arr[ci] += n
 
-        def dedicated_acquire(nid: int, cycle: int) -> bool:
-            if pipelined[nid]:
-                if ded_last_issue[nid] >= cycle:
-                    return False
-                ded_last_issue[nid] = cycle
-            else:
-                if ded_busy_until[nid] >= cycle:
-                    return False
-                lat = latency[nid]
-                ded_busy_until[nid] = cycle + (lat if lat > 1 else 1) - 1
-            return True
-
         def park(dyn: list, gate: int, key: str, blocked: dict) -> int:
             """Park ``dyn`` behind ``gate`` until the next cycle (the
             gate refused it, or it lost to an address conflict); returns
@@ -578,11 +572,6 @@ class GraphScheduler:
             else:
                 heads[gate] = entry[1]
                 heappush(ready, entry)
-
-        def fu_release(nid: int) -> None:
-            if not dedicated[nid] and not pipelined[nid]:
-                pool_inflight[cls_ids[nid]] -= 1
-            inflight_arr[cls_ids[nid]] -= 1
 
         def emit_mem_trace(dyn: list, pump_cycle: int, cycle: int,
                            with_spm: bool) -> None:
@@ -692,7 +681,10 @@ class GraphScheduler:
                     nid = dyn[0]
                     if tag == _EV_COMMIT:
                         inflight_compute -= 1
-                        fu_release(nid)
+                        ci = cls_ids[nid]
+                        if not dedicated[nid] and not pipelined[nid]:
+                            pool_inflight[ci] -= 1
+                        inflight_arr[ci] -= 1
                         commit(dyn, payload, cycle)
                     elif tag == _EV_SPM:
                         if kind[nid] == K_LOAD:
@@ -794,8 +786,7 @@ class GraphScheduler:
                 else:
                     break
 
-            issued_classes: list[str] = []
-            issued_kinds: set[str] = set()
+            issued_kinds = 0
             issued_total = 0
             # Refused ops this cycle per kind, in first-refusal order.
             blocked: dict[str, int] = {}
@@ -831,7 +822,7 @@ class GraphScheduler:
                     window -= 1
                     outstanding_reads += 1
                     n_loads += 1
-                    issued_kinds.add("load")
+                    issued_kinds |= load_bit
                     if inline:
                         read_queue.append(dyn)
                     else:
@@ -852,7 +843,7 @@ class GraphScheduler:
                     window -= 1
                     outstanding_writes += 1
                     n_stores += 1
-                    issued_kinds.add("store")
+                    issued_kinds |= store_bit
                     dyn[8] = encoders[nid](dyn[5][0])
                     if inline:
                         write_queue.append(dyn)
@@ -864,7 +855,19 @@ class GraphScheduler:
                         ci = cls_ids[nid]
                         gate = gate_of[nid]
                         if gate < 0:
-                            if not dedicated_acquire(nid, cycle):
+                            # A dedicated unit: one op per cycle if
+                            # pipelined, else busy for its latency.
+                            if pipelined[nid]:
+                                free = ded_last_issue[nid] < cycle
+                                if free:
+                                    ded_last_issue[nid] = cycle
+                            else:
+                                free = ded_busy_until[nid] < cycle
+                                if free:
+                                    lat = latency[nid]
+                                    ded_busy_until[nid] = (
+                                        cycle + (lat if lat > 1 else 1) - 1)
+                            if not free:
                                 fu_stall(ci, 1)
                                 held.append(dyn)
                                 blocked["compute"] = blocked.get("compute", 0) + 1
@@ -895,8 +898,7 @@ class GraphScheduler:
                     window -= 1
                     if is_compute:
                         fu_energy += dyn_energy[nid]
-                        issued_classes.append(fu_class[nid])
-                        issued_kinds.add(issue_kind[nid])
+                        issued_kinds |= kind_bit[issue_kind[nid]]
                         reg_energy += read_energy[nid]
                         inflight_compute += 1
                     thunk = evals[nid]
@@ -913,7 +915,9 @@ class GraphScheduler:
                     if lat == 0:
                         if is_compute:
                             inflight_compute -= 1
-                            fu_release(nid)
+                            if gate >= 0 and not pipelined[nid]:
+                                pool_inflight[ci] -= 1
+                            inflight_arr[ci] -= 1
                         commit(dyn, result, cycle)
                     else:
                         done = cycle + lat
@@ -952,20 +956,17 @@ class GraphScheduler:
                 occ_blocked_by_kind[key] = occ_blocked_by_kind.get(key, 0) + n
             # Busy units per class, in first-successful-acquire order —
             # the dynamic allocator's inflight_by_class insertion order.
-            for ci in issue_order:
-                inflight = inflight_arr[ci]
-                if inflight > 0:
-                    units = units_arr[ci]
-                    name = class_names[ci]
-                    occ_fu_busy[name] = occ_fu_busy.get(name, 0) + (
-                        units if units and units < inflight else inflight)
-            if issued_classes or issued_kinds:
+            if inflight_compute:
+                for ci in issue_order:
+                    inflight = inflight_arr[ci]
+                    if inflight > 0:
+                        units = units_arr[ci]
+                        name = class_names[ci]
+                        occ_fu_busy[name] = occ_fu_busy.get(name, 0) + (
+                            units if units and units < inflight else inflight)
+            if issued_kinds:
                 occ_issue_cycles += 1
-                occ_issued_ops += len(issued_classes)
-                for name in issued_classes:
-                    occ_issued_by_class[name] = (
-                        occ_issued_by_class.get(name, 0) + 1)
-                for name in frozenset(issued_kinds):
+                for name in kind_table[issued_kinds]:
                     occ_issue_kind_cycles[name] = (
                         occ_issue_kind_cycles.get(name, 0) + 1)
             elif obit:
@@ -1024,10 +1025,13 @@ class GraphScheduler:
         for name, value in occ_fu_busy.items():
             merge[name] = merge.get(name, 0) + value
         occupancy.issue_cycles += occ_issue_cycles
-        occupancy.issued_ops += occ_issued_ops
+        # Every compute issue is counted once per class, in first-issue
+        # order: the tracker's issued_by_class and issued_ops.
+        occupancy.issued_ops += sum(fu_issued_arr)
         merge = occupancy.issued_by_class
-        for name, value in occ_issued_by_class.items():
-            merge[name] = merge.get(name, 0) + value
+        for ci in issue_order:
+            name = class_names[ci]
+            merge[name] = merge.get(name, 0) + fu_issued_arr[ci]
         merge = occupancy.issue_kind_cycles
         for name, value in occ_issue_kind_cycles.items():
             merge[name] = merge.get(name, 0) + value

@@ -3,7 +3,9 @@
 Connects a producer device to a consumer device with a two-way
 handshake: pushes fail when the FIFO is full, pops fail when it is
 empty, and each side can register a callback to be notified when space
-or data becomes available.  This is the primitive behind the paper's
+or data becomes available.  A callback waits at most once per side, so
+a blocked endpoint is woken once per notification and the stall counts
+are refused attempts.  This is the primitive behind the paper's
 third CNN scenario (direct accelerator-to-accelerator pipelining,
 Fig. 16c), which trace-based simulators cannot express.
 """
@@ -84,12 +86,16 @@ class StreamBuffer(SimObject):
         return token
 
     def on_space(self, callback: Callable[[], None]) -> None:
-        """Notify ``callback`` once when space becomes available."""
-        self._space_waiters.append(callback)
+        """Notify ``callback`` once when space becomes available (a
+        callback already waiting for space is not added again)."""
+        if callback not in self._space_waiters:
+            self._space_waiters.append(callback)
 
     def on_data(self, callback: Callable[[], None]) -> None:
-        """Notify ``callback`` once when a token becomes available."""
-        self._data_waiters.append(callback)
+        """Notify ``callback`` once when a token becomes available (a
+        callback already waiting for data is not added again)."""
+        if callback not in self._data_waiters:
+            self._data_waiters.append(callback)
 
     def _notify(self, waiters: list[Callable[[], None]]) -> None:
         if not waiters:

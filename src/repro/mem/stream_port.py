@@ -5,7 +5,8 @@ handshake: a read of the window pops the next token (stalling, i.e.
 withholding the response, while the FIFO is empty); a write pushes a
 token (stalling while it is full).  Requests are serviced strictly in
 arrival order, preserving stream semantics even with multiple
-outstanding accesses.
+outstanding accesses: while the FIFO refuses, the port waits on it
+once, and each wake runs one drain over every queued request.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DeviceConfig
+from repro.core.occupancy import ISSUE_KINDS, OccupancyTracker
 from repro.system.soc import StandaloneAccelerator
 
 VECADD = """
@@ -125,6 +126,16 @@ def test_occupancy_accounting_consistent(rng):
     assert occ.issued_ops > 0
     mix = occ.issue_mix()
     assert "load" in mix and "store" in mix
+
+
+def test_issue_kinds_recorded_in_fixed_order():
+    # Not the string-hash order of the set: the same in every process,
+    # and the order the graph scheduler's kind table replays.
+    occ = OccupancyTracker()
+    occ.record_cycle([], frozenset(), {},
+                     frozenset({"int", "store", "fp", "load"}))
+    assert list(occ.issue_kind_cycles) == list(ISSUE_KINDS)
+    assert ISSUE_KINDS == ("load", "store", "fp", "int")
 
 
 def test_stall_sources_reported(rng):

@@ -126,6 +126,17 @@ def test_graph_miss_binds_no_static_nodes():
     assert ctx.accelerator.unit.iface.cdfg._nodes is None
 
 
+def test_unit_summary_binds_no_static_nodes():
+    # Counting blocks reads the function, not the per-instruction nodes.
+    ctx = SimContext(get_workload("gemm_dse"), seed=7,
+                     artifact_store=ArtifactStore())
+    ctx.run()
+    unit = ctx.accelerator.unit
+    summary = unit.summary()
+    assert summary["blocks"] == len(unit.iface.cdfg.func.blocks) > 1
+    assert unit.iface.cdfg._nodes is None
+
+
 def test_runs_at_different_addresses_share_operand_tables(shared, fresh):
     store, graph, record, before, closures = shared
     staged = {}

@@ -95,6 +95,92 @@ def test_stream_port_preserves_order_with_multiple_outstanding(system):
     assert by_id[second.pkt_id].data[0] == 2
 
 
+def _timed_port(system, buf):
+    """A stream port with a master that logs ``(tick, response)``."""
+    port = StreamPort("sp", system, buf, base=0)
+    responses = []
+    master = MasterPort(
+        "m", recv_timing_resp=lambda r: responses.append((system.cur_tick, r)))
+    master.bind(port.port)
+    return master, responses
+
+
+def test_blocked_reads_share_one_data_waiter(system):
+    buf = StreamBuffer("b", system, capacity_tokens=4)
+    master, responses = _timed_port(system, buf)
+    reads = [read_packet(0, 8) for __ in range(3)]
+    for pkt in reads:
+        master.send_timing_req(pkt)
+    # One waiter for the port, however many reads are queued behind it,
+    # and one stall per refused pop.
+    assert len(buf._data_waiters) == 1
+    assert buf.stat_pop_stalls.value() == 3
+    for i, tick in enumerate((5000, 10000, 15000)):
+        system.eventq.schedule_callback(
+            lambda v=i + 1: buf.try_push(bytes([v]) * 8), tick)
+    system.run()
+    # Each push wakes the port one cycle later, and the pop's response
+    # leaves one cycle after that, in arrival order.
+    assert [(t, r.pkt_id, r.data[0]) for t, r in responses] == [
+        (7000, reads[0].pkt_id, 1),
+        (12000, reads[1].pkt_id, 2),
+        (17000, reads[2].pkt_id, 3),
+    ]
+    # The first two wakes leave a reader waiting: one refused pop each.
+    assert buf.stat_pop_stalls.value() == 5
+    assert buf._data_waiters == []
+
+
+def test_blocked_writes_share_one_space_waiter(system):
+    buf = StreamBuffer("b", system, capacity_tokens=1)
+    assert buf.try_push(bytes(8))
+    master, responses = _timed_port(system, buf)
+    writes = [write_packet(0, bytes([i + 1]) * 8) for i in range(3)]
+    for pkt in writes:
+        master.send_timing_req(pkt)
+    assert len(buf._space_waiters) == 1
+    assert buf.stat_push_stalls.value() == 3
+    popped = []
+    for tick in (5000, 10000, 15000, 20000):
+        system.eventq.schedule_callback(
+            lambda: popped.append(buf.try_pop()[0]), tick)
+    system.run()
+    assert [(t, r.pkt_id) for t, r in responses] == [
+        (7000, writes[0].pkt_id),
+        (12000, writes[1].pkt_id),
+        (17000, writes[2].pkt_id),
+    ]
+    assert popped == [0, 1, 2, 3]
+    assert buf.stat_push_stalls.value() == 5
+    assert buf._space_waiters == []
+
+
+def test_same_bound_method_registered_once(system):
+    buf = StreamBuffer("b", system, capacity_tokens=2)
+
+    class Endpoint:
+        def __init__(self):
+            self.wakes = []
+
+        def wake(self):
+            self.wakes.append(system.cur_tick)
+
+    first, second = Endpoint(), Endpoint()
+    order = []
+    buf.on_data(first.wake)
+    buf.on_data(lambda: order.append("plain"))
+    buf.on_data(first.wake)
+    buf.on_data(second.wake)
+    assert buf._data_waiters[0] == first.wake
+    assert buf._data_waiters[2] == second.wake
+    assert len(buf._data_waiters) == 3
+    buf.try_push(bytes(8))
+    system.run()
+    assert first.wakes == [1000]
+    assert second.wakes == [1000]
+    assert order == ["plain"]
+
+
 def test_stream_port_write_pushes(system):
     buf = StreamBuffer("b", system, capacity_tokens=2)
     port = StreamPort("sp", system, buf, base=0)
