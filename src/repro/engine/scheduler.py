@@ -84,11 +84,15 @@ Memory goes one of two ways:
   cache → DRAM ports.  Ordering rule: register write
   energy is a float sum in commit order, so compute commits and port
   completions must interleave exactly as the event queue orders them.
-  A cycle's compute commits therefore become one event per completion
-  cycle, scheduled after the issue phase and before the pump, just
-  where the dynamic engine schedules them.  Those events and the
-  memctrl's completion callbacks only append to a list in firing
-  order; the next tick drains it.
+  Compute commits stay off the queue: a cycle's commits, one batch per
+  completion cycle, go on the loop's own heap keyed ``(tick,
+  DEFAULT_PRI, seq)``, with ``seq`` reserved from the queue after the
+  issue phase and before the pump, just where the dynamic engine
+  schedules its commit events.  The memctrl's completion callback
+  records each arrival with the key of the event firing it
+  (`EventQueue.firing_key`), and a cycle's drain merges the due
+  batches into the arrivals by key.  The loop thus runs ahead through
+  cycles where only its own commits are due.
 
 Static disambiguation: the only use of `repro.analysis.memdep` facts is
 a *fast path inside* the conflict scan, applied strictly after the
@@ -318,7 +322,7 @@ class GraphScheduler:
             spm_write_ports = spm.write_ports
             spm_bank_of = spm.bank_of
             spm_name = spm.name
-        is_strict = memctrl.is_strict if memctrl.strict_ranges else None
+        strict_spans = memctrl.strict_spans
         enqueue_read = memctrl.enqueue_read
         enqueue_write = memctrl.enqueue_write
         hub = engine._probe
@@ -326,7 +330,7 @@ class GraphScheduler:
         trace_mem = inline and hub is not None and hub.enabled("mem")
         memctrl_name = memctrl.name
         engine_name = engine.name
-        commit_name = f"{engine_name}.commit"
+        reserve_seq = eventq.reserve_seq
 
         # -- the graph's operand tables, with this run's argument values
         # bound in.  ``init_vals[nid]`` is the operand value list with
@@ -408,12 +412,14 @@ class GraphScheduler:
 
         # Per-cycle completion buckets: cycle -> [(tag, dyn, payload,
         # pump_cycle)], appended in scheduling order.  With port-backed
-        # memory a cycle's compute commits instead become one event per
-        # completion cycle, and those events and the memctrl's
-        # completions append to ``arrived`` in the order the event
-        # queue fires them; the next tick drains it.
+        # memory a cycle's buckets instead move to ``commits`` as
+        # ``(tick, DEFAULT_PRI, seq, batch)``, keyed as the event queue
+        # would key an event scheduled there, and the memctrl's
+        # completions append ``(firing key, entry)`` to ``arrived`` in
+        # the order the queue fires them; the next cycle merges the two.
         buckets: dict[int, list] = {}
         buckets_get = buckets.get
+        commits: list = []
         arrived: list = []
 
         # Inline occupancy accounting: the same arithmetic (and the
@@ -504,7 +510,11 @@ class GraphScheduler:
             # accesses enter the request queue in program order but may
             # pipeline, so a strict access scans every earlier access,
             # loads included, before the usual rules.
-            strict = is_strict is not None and is_strict(addr)
+            strict = False
+            for lo, hi in strict_spans:
+                if lo <= addr < hi:
+                    strict = True
+                    break
             # Loads only conflict with earlier stores.
             for other in (mem_window if strict or not is_load
                           else store_window):
@@ -650,11 +660,12 @@ class GraphScheduler:
                         bucket.append(entry)
 
         def port_done(dyn: list):
-            # memctrl completion callback: capture data and cycle now,
-            # commit in the next tick's drain.
+            # memctrl completion callback: capture data, cycle and the
+            # firing event's key now, commit in the next cycle's drain.
             return lambda request: arrived.append(
-                (_EV_PORT, dyn, request.result,
-                 request.complete_tick // period))
+                (eventq.firing_key,
+                 (_EV_PORT, dyn, request.result,
+                  request.complete_tick // period)))
 
         # -- the flat cycle loop ----------------------------------------
         # Simulated time stays at ``cycle * period`` throughout a cycle:
@@ -675,7 +686,19 @@ class GraphScheduler:
             if inline:
                 bucket = buckets.pop(cycle, None)
             else:
-                bucket, arrived = arrived, []
+                # In the order the event queue would fire the commit
+                # batches among the arrivals: a batch goes just before
+                # the first arrival whose key follows its own, the rest
+                # (due by now) after the last.
+                bucket = []
+                for key, entry in arrived:
+                    while commits and commits[0] < key:
+                        bucket += heappop(commits)[3]
+                    bucket.append(entry)
+                arrived.clear()
+                now = cycle * period
+                while commits and commits[0][0] <= now:
+                    bucket += heappop(commits)[3]
             if bucket:
                 for tag, dyn, payload, pump_cycle in bucket:
                     nid = dyn[0]
@@ -937,13 +960,12 @@ class GraphScheduler:
                 if read_queue or write_queue:
                     pump_memory(cycle)
             else:
-                # Before the pump, as the dynamic engine schedules its
-                # commits at issue: same-tick order against memory
+                # Keyed before the pump, as the dynamic engine schedules
+                # its commits at issue: same-tick order against memory
                 # events is then scheduling order.
                 for done, batch in buckets.items():
-                    eventq.schedule_callback(
-                        lambda batch=batch: arrived.extend(batch),
-                        done * period, name=commit_name)
+                    heappush(commits, (done * period, Event.DEFAULT_PRI,
+                                       reserve_seq(), batch))
                 buckets.clear()
                 memctrl.pump()
 

@@ -127,7 +127,6 @@ class Cache(SimObject):
             self.stat_hits.inc()
             if self._probe is not None:
                 self.trace_emit("mem", "hit", args={"addr": pkt.addr, "size": pkt.size})
-            pkt.hit_level = self.name
             self._touch(line)
             if pkt.is_write:
                 line.dirty = True
@@ -214,7 +213,6 @@ class Cache(SimObject):
         return victim
 
     def _respond(self, pkt: Packet) -> None:
-        pkt.hops.append(self.name)
         if pkt.cmd is MemCmd.READ:
             data = self.mem_side.send_functional(
                 read_packet(pkt.addr, pkt.size)

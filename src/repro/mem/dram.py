@@ -84,7 +84,6 @@ class DRAM(SimObject):
 
     def _complete(self, pkt: Packet) -> None:
         self.stat_bytes.inc(pkt.size)
-        pkt.hops.append(self.name)
         if pkt.cmd is MemCmd.READ:
             self.stat_reads.inc()
             resp = pkt.make_response(data=self.image.read(pkt.addr, pkt.size))

@@ -12,7 +12,6 @@ no port limit — the datapath-only configuration of Fig. 13.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.sim.clock import ClockDomain
@@ -21,19 +20,29 @@ from repro.sim.ports import MasterPort, PortError
 from repro.sim.simobject import AddrRange, SimObject, System
 
 
-@dataclass
 class MemRequest:
     """One outstanding accelerator memory operation."""
 
-    is_read: bool
-    addr: int
-    size: int
-    data: Optional[bytes] = None
-    on_complete: Optional[Callable[["MemRequest"], None]] = None
-    result: Optional[bytes] = None
-    issued: bool = False
-    issue_tick: int = -1
-    complete_tick: int = -1
+    __slots__ = ("is_read", "addr", "size", "data", "on_complete", "result",
+                 "issued", "issue_tick", "complete_tick")
+
+    def __init__(
+        self,
+        is_read: bool,
+        addr: int,
+        size: int,
+        data: Optional[bytes] = None,
+        on_complete: Optional[Callable[["MemRequest"], None]] = None,
+    ) -> None:
+        self.is_read = is_read
+        self.addr = addr
+        self.size = size
+        self.data = data
+        self.on_complete = on_complete
+        self.result: Optional[bytes] = None
+        self.issued = False
+        self.issue_tick = -1
+        self.complete_tick = -1
 
 
 class AcceleratorMemController(SimObject):
@@ -60,8 +69,9 @@ class AcceleratorMemController(SimObject):
         self._routes: list[tuple[AddrRange, MasterPort]] = []
         # Device regions with strictly-ordered access semantics (stream
         # windows, MMRs of other devices): same-address loads must not
-        # be reordered by the runtime scheduler.
-        self.strict_ranges: list[AddrRange] = []
+        # be reordered by the runtime scheduler.  Half-open ``(start,
+        # end)`` spans, read by both engines' conflict scans.
+        self.strict_spans: list[tuple[int, int]] = []
         self.read_queue: deque[MemRequest] = deque()
         self.write_queue: deque[MemRequest] = deque()
         self._inflight: dict[int, MemRequest] = {}
@@ -90,10 +100,13 @@ class AcceleratorMemController(SimObject):
         return self._routes
 
     def add_strict_range(self, addr_range: AddrRange) -> None:
-        self.strict_ranges.append(addr_range)
+        self.strict_spans.append((addr_range.start, addr_range.end))
 
     def is_strict(self, addr: int) -> bool:
-        return any(r.contains(addr) for r in self.strict_ranges)
+        for start, end in self.strict_spans:
+            if start <= addr < end:
+                return True
+        return False
 
     def _route(self, addr: int, size: int) -> MasterPort:
         for addr_range, port in self._routes:

@@ -133,8 +133,8 @@ class Scratchpad(SimObject):
         return True
 
     def _complete(self, pkt: Packet, port: SlavePort) -> None:
-        pkt.hops.append(self.name)
-        if pkt.cmd is MemCmd.READ:
+        is_read = pkt.cmd is MemCmd.READ
+        if is_read:
             self.stat_reads.inc()
             resp = pkt.make_response(data=self.image.read(pkt.addr, pkt.size))
         else:
@@ -145,8 +145,7 @@ class Scratchpad(SimObject):
         probe = self._probe
         if probe is not None:
             probe.emit(
-                "mem", self.name,
-                "read" if pkt.cmd is MemCmd.READ else "write",
+                "mem", self.name, "read" if is_read else "write",
                 pkt.req_tick, dur=self.cur_tick - pkt.req_tick,
                 args={"addr": pkt.addr, "size": pkt.size,
                       "bank": self.bank_of(pkt.addr)},

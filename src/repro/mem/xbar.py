@@ -97,7 +97,6 @@ class Crossbar(SimObject):
         return True
 
     def _forward(self, pkt: Packet, port: MasterPort) -> None:
-        pkt.hops.append(self.name)
         if not port.send_timing_req(pkt):
             # Downstream backpressure: retry next cycle.
             self.eventq.schedule_callback(

@@ -102,6 +102,9 @@ class EventQueue:
         # checks in with the other.
         self._limit: Optional[int] = None
         self._watchdog = None
+        #: ``(tick, priority, seq)`` of the event :meth:`run` is firing
+        #: (the latest one between events), None before the first.
+        self.firing_key: Optional[tuple[int, int, int]] = None
         # Optional observer called as hook(event, tick) just before each
         # event fires (wired by System.attach_probe).  One attribute
         # compare per event when unset.
@@ -140,6 +143,14 @@ class EventQueue:
         self._seq += 1
         heapq.heappush(self._heap, (when, event.priority, self._seq, event, event._gen))
         return event
+
+    def reserve_seq(self) -> int:
+        """Take the sequence number a :meth:`schedule` call made now
+        would give its event, for a caller that keeps the event itself:
+        ``(tick, priority, seq)`` then orders against the queue's events
+        exactly as the scheduled event would."""
+        self._seq += 1
+        return self._seq
 
     def schedule_callback(
         self,
@@ -244,7 +255,9 @@ class EventQueue:
             if max_tick is not None and when > max_tick:
                 self._cur_tick = max_tick
                 return "max_tick"
-            __, __, __, event, __ = heapq.heappop(self._heap)
+            entry = heapq.heappop(self._heap)
+            self.firing_key = entry[:3]
+            event = entry[3]
             self._cur_tick = when
             event._scheduled = False
             event._when = -1
@@ -270,3 +283,4 @@ class EventQueue:
         self._events_fired = 0
         self._limit = None
         self._watchdog = None
+        self.firing_key = None

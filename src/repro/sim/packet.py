@@ -3,8 +3,8 @@
 A :class:`Packet` is the unit of communication on ports: a command
 (read/write), an address range, and — for functional correctness — the
 actual data bytes.  Packets carry an opaque ``origin`` so the requester
-can match responses to outstanding operations, and accumulate latency
-annotations as they traverse the hierarchy.
+can match responses to outstanding operations; as in gem5, a request
+becomes its own response (:meth:`Packet.make_response`).
 """
 
 from __future__ import annotations
@@ -22,24 +22,12 @@ class MemCmd(enum.Enum):
     READ_RESP = "read_resp"
     WRITE_RESP = "write_resp"
 
-    @property
-    def is_request(self) -> bool:
-        return self in (MemCmd.READ, MemCmd.WRITE)
-
-    @property
-    def is_read(self) -> bool:
-        return self in (MemCmd.READ, MemCmd.READ_RESP)
-
-    @property
-    def is_write(self) -> bool:
-        return self in (MemCmd.WRITE, MemCmd.WRITE_RESP)
-
-    def response(self) -> "MemCmd":
-        if self is MemCmd.READ:
-            return MemCmd.READ_RESP
-        if self is MemCmd.WRITE:
-            return MemCmd.WRITE_RESP
-        raise ValueError(f"{self} has no response command")
+    def __init__(self, value: str) -> None:
+        # Plain attributes, fixed once per command: the per-access paths
+        # read them without a property call or a membership test.
+        self.is_request = not value.endswith("_resp")
+        self.is_read = value.startswith("read")
+        self.is_write = value.startswith("write")
 
 
 class Packet:
@@ -55,8 +43,6 @@ class Packet:
         "pkt_id",
         "req_tick",
         "resp_tick",
-        "hops",
-        "hit_level",
     )
 
     def __init__(
@@ -85,8 +71,6 @@ class Packet:
         self.pkt_id = next(_packet_ids)
         self.req_tick: int = -1
         self.resp_tick: int = -1
-        self.hops: list[str] = []
-        self.hit_level: str = ""
 
     # ------------------------------------------------------------------
     @property
@@ -102,22 +86,21 @@ class Packet:
         return self.cmd.is_write
 
     def make_response(self, data: Optional[bytes] = None) -> "Packet":
-        """Build the matching response packet (sharing origin and id)."""
-        if self.cmd is MemCmd.READ and data is None:
-            raise ValueError("read response must carry data")
-        resp = Packet(
-            self.cmd.response(),
-            self.addr,
-            self.size,
-            data=data,
-            origin=self.origin,
-            agent=self.agent,
-        )
-        resp.pkt_id = self.pkt_id
-        resp.req_tick = self.req_tick
-        resp.hops = list(self.hops)
-        resp.hit_level = self.hit_level
-        return resp
+        """Turn this request into its response, in place (gem5's
+        ``makeResponse``): id, origin, agent and request tick stay, the
+        command becomes the response command and ``data`` the payload
+        (None for a write).  Returns the packet."""
+        cmd = self.cmd
+        if cmd is MemCmd.READ:
+            if data is None:
+                raise ValueError("read response must carry data")
+            self.cmd = MemCmd.READ_RESP
+        elif cmd is MemCmd.WRITE:
+            self.cmd = MemCmd.WRITE_RESP
+        else:
+            raise ValueError(f"{cmd} has no response command")
+        self.data = data
+        return self
 
     def overlaps(self, addr: int, size: int) -> bool:
         return self.addr < addr + size and addr < self.addr + self.size

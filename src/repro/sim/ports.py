@@ -70,10 +70,9 @@ class MasterPort(_Port):
 
     # master -> slave
     def send_timing_req(self, pkt: Packet) -> bool:
-        if not pkt.is_request:
+        if not pkt.cmd.is_request:
             raise PortError(f"send_timing_req called with non-request {pkt}")
         slave = self._require_peer()
-        assert isinstance(slave, SlavePort)
         accepted = slave._recv_timing_req(pkt)
         if accepted:
             self.reqs_sent += 1
@@ -81,16 +80,11 @@ class MasterPort(_Port):
 
     def send_functional(self, pkt: Packet) -> Packet:
         slave = self._require_peer()
-        assert isinstance(slave, SlavePort)
         if slave._recv_functional is None:
             raise PortError(f"slave '{slave.name}' has no functional path")
         return slave._recv_functional(pkt)
 
     # called by the slave side
-    def _deliver_resp(self, pkt: Packet) -> None:
-        self.resps_received += 1
-        self._recv_timing_resp(pkt)
-
     def _deliver_retry(self) -> None:
         self.retries += 1
         if self._recv_retry is not None:
@@ -117,17 +111,15 @@ class SlavePort(_Port):
 
     # slave -> master
     def send_timing_resp(self, pkt: Packet) -> None:
-        if pkt.is_request:
+        if pkt.cmd.is_request:
             raise PortError(f"send_timing_resp called with request {pkt}")
         master = self._require_peer()
-        assert isinstance(master, MasterPort)
         self.resps_sent += 1
-        master._deliver_resp(pkt)
+        master.resps_received += 1
+        master._recv_timing_resp(pkt)
 
     def send_retry(self) -> None:
-        master = self._require_peer()
-        assert isinstance(master, MasterPort)
-        master._deliver_retry()
+        self._require_peer()._deliver_retry()
 
 
 def connect(master: MasterPort, slave: SlavePort) -> None:

@@ -241,3 +241,39 @@ def test_try_advance_rejects_the_past():
     q.try_advance(100)
     with pytest.raises(SimulationError):
         q.try_advance(50)
+
+
+def test_firing_key_is_the_popped_entry():
+    eq = EventQueue()
+    keys = []
+    record = lambda: keys.append(eq.firing_key)  # noqa: E731
+    eq.schedule_callback(record, 20)                                # seq 1
+    eq.schedule_callback(record, 10, priority=Event.CPU_TICK_PRI)  # seq 2
+    eq.schedule_callback(record, 10)                                # seq 3
+    assert eq.firing_key is None
+    eq.run()
+    assert keys == [(10, Event.DEFAULT_PRI, 3),
+                    (10, Event.CPU_TICK_PRI, 2),
+                    (20, Event.DEFAULT_PRI, 1)]
+    eq.reset()
+    assert eq.firing_key is None
+
+
+def test_reserved_seq_orders_like_a_scheduled_event():
+    # A caller that keeps its own event takes the seq a schedule() call
+    # would give it; at the same (tick, priority) the key then sorts
+    # between the events scheduled before and after, as that event would.
+    eq = EventQueue()
+    keys = {}
+
+    def at(name, priority=Event.DEFAULT_PRI):
+        eq.schedule_callback(lambda: keys.update({name: eq.firing_key}), 30,
+                             priority=priority)
+
+    at("before")
+    reserved = (30, Event.DEFAULT_PRI, eq.reserve_seq())
+    at("after")
+    at("tick", Event.CPU_TICK_PRI)
+    eq.run()
+    assert keys["before"] < reserved < keys["after"] < keys["tick"]
+    assert keys["after"][2] == reserved[2] + 1

@@ -111,3 +111,39 @@ def test_retry_notification():
     master.send_timing_req(read_packet(0, 4))
     slave.send_retry()
     assert retries == [1]
+
+
+def test_response_is_made_in_place():
+    pkt = write_packet(0x40, b"\x07" * 8, origin="req", agent="acc")
+    pkt.req_tick = 1234
+    pkt_id = pkt.pkt_id
+    resp = pkt.make_response()
+    assert resp is pkt
+    assert resp.cmd is MemCmd.WRITE_RESP and resp.data is None
+    assert (resp.pkt_id, resp.origin, resp.agent, resp.req_tick) == (
+        pkt_id, "req", "acc", 1234)
+    assert resp.is_write and not resp.is_request
+
+
+def test_response_of_a_response_rejected():
+    resp = read_packet(0, 4).make_response(data=b"abcd")
+    with pytest.raises(ValueError):
+        resp.make_response(data=b"abcd")
+    with pytest.raises(ValueError):
+        write_packet(0, b"ab").make_response().make_response()
+
+
+def test_command_flags_are_fixed_per_command():
+    flags = {cmd: (cmd.is_request, cmd.is_read, cmd.is_write) for cmd in MemCmd}
+    assert flags == {MemCmd.READ: (True, True, False),
+                     MemCmd.WRITE: (True, False, True),
+                     MemCmd.READ_RESP: (False, True, False),
+                     MemCmd.WRITE_RESP: (False, False, True)}
+
+
+def test_packet_carries_no_route_annotations():
+    pkt = read_packet(0, 4)
+    for name in ("hops", "hit_level"):
+        assert not hasattr(pkt, name)
+        with pytest.raises(AttributeError):
+            setattr(pkt, name, [])
