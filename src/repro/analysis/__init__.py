@@ -25,6 +25,9 @@ package is the static-analysis layer that argument rests on:
 * `repro.analysis.verified`    — verified pass pipelines: golden
   interpreter differential checks after every pass, pinpointing the
   offending pass on divergence.
+* `repro.analysis.reports`     — the full report of one module or
+  scenario, as ``repro analyze`` and the job server's analyze jobs
+  build it.
 
 Everything surfaces through ``python -m repro analyze``.
 """
@@ -57,6 +60,7 @@ from repro.analysis.memdep import (
     resolve_pointer,
     static_footprint,
 )
+from repro.analysis.reports import analyze_module, analyze_scenario
 from repro.analysis.syslint import (
     DmaTransfer,
     KernelFootprint,
@@ -93,6 +97,8 @@ __all__ = [
     "SystemDescription",
     "VerifiedPassManager",
     "all_rules",
+    "analyze_module",
+    "analyze_scenario",
     "classify_accesses",
     "dependence_report",
     "describe_concurrency",

@@ -221,69 +221,14 @@ def _analyze_modules(target: str, args, store):
         raise SystemExit(f"bad --passes spec: {err}")
 
 
-def _analyze_one(label: str, module, args):
-    """Full static-analysis report for one compiled module."""
-    from repro.analysis import AnalysisReport, lint_function
-    from repro.analysis.memdep import memdep_diagnostics
-    from repro.analysis.syslint import (
-        MemRegion,
-        SystemDescription,
-        footprints_from_module,
-        lint_system,
-    )
-
-    report = AnalysisReport(subject=label)
-    func_names = [f.name for f in module
-                  if f.blocks and (not args.func or f.name == args.func)]
-    for func_name in func_names:
-        func = module.functions[func_name]
-        lint_function(func, module, report=report)
-        report.extend(memdep_diagnostics(func))
-    if args.spm_bytes:
-        desc = SystemDescription(
-            regions=[MemRegion("spm", "spm", 0x2000_0000, args.spm_bytes)]
-        )
-        for func_name in func_names:
-            desc.kernels.extend(
-                footprints_from_module(module, func_name, region="spm"))
-        report.extend(lint_system(desc))
-    return report
-
-
-def _analyze_scenario(spec_text: str):
-    """System-level (SYS301-306) report for one scenario.
-
-    ``gen:SEED[:racy]`` forms lint the generated scenario *statically*
-    from its plan; named CNN scenarios run once and are linted from the
-    recorded host/accelerator logs.
-    """
-    from repro.system import scenario_gen
-
-    if spec_text.startswith("gen:"):
-        spec = scenario_gen.parse_gen_spec(spec_text)
-        scenario = scenario_gen.build(spec)
-        report = scenario.static_report()
-        report.subject = spec.name
-        return report
-    from repro.system.cnn_scenarios import SCENARIOS
-
-    runner = SCENARIOS.get(spec_text)
-    if runner is None:
-        raise ValueError(
-            f"unknown scenario '{spec_text}' "
-            f"(choose from {', '.join(sorted(SCENARIOS))}, or gen:SEED[:racy])")
-    result = runner()
-    report = result.soc.lint()
-    report.subject = spec_text
-    return report
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import (
         AnalysisReport,
         Location,
         PassDivergenceError,
         Severity,
+        analyze_module,
+        analyze_scenario,
     )
     from repro.workloads import all_workload_names
 
@@ -298,7 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
     for spec_text in scenarios:
         try:
-            reports.append(_analyze_scenario(spec_text))
+            reports.append(analyze_scenario(spec_text))
         except ValueError as err:
             raise SystemExit(f"analyze: {err}")
     for target in targets:
@@ -320,7 +265,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"analyze: no kernels found in '{target}'", file=sys.stderr)
             continue
         for label, module in resolved:
-            reports.append(_analyze_one(label, module, args))
+            reports.append(analyze_module(label, module, func=args.func,
+                                          spm_bytes=args.spm_bytes))
     merged = AnalysisReport.merged(reports, subject=",".join(scenarios + targets))
     if args.format == "json":
         text = merged.render_json()

@@ -514,7 +514,7 @@ class RuntimeEngine(SimObject):
             issued_total=issued_total,
         )
         probe = self._probe
-        if probe is not None:
+        if probe is not None and probe.enabled("sched"):
             # Sec. III-C2's per-cycle scheduling log: what issued, what
             # stalled (and why), what is still in flight.
             probe.emit(
@@ -609,7 +609,8 @@ class RuntimeEngine(SimObject):
         dyn.result = result
         dyn.commit_cycle = self.cur_cycle
         self.committed += 1
-        if self._probe is not None:
+        probe = self._probe
+        if probe is not None and probe.enabled("compute"):
             self._trace_commit(dyn)
         if dyn.node.result_bits:
             self.register_energy_pj += (

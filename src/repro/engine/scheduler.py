@@ -328,6 +328,8 @@ class GraphScheduler:
         hub = engine._probe
         occupancy = engine.occupancy
         trace_mem = inline and hub is not None and hub.enabled("mem")
+        trace_compute = hub is not None and hub.enabled("compute")
+        trace_sched = hub is not None and hub.enabled("sched")
         memctrl_name = memctrl.name
         engine_name = engine.name
         reserve_seq = eventq.reserve_seq
@@ -471,7 +473,7 @@ class GraphScheduler:
             dyn[2] = COMMITTED     # state
             dyn[6] = result
             n_committed += 1
-            if hub is not None:
+            if trace_compute:
                 cargs = {"seq": dyn[1]}
                 if dyn[7] is not None:
                     cargs["addr"] = dyn[7]
@@ -997,7 +999,7 @@ class GraphScheduler:
                 occ_stall_sources[fs] = occ_stall_sources.get(fs, 0) + 1
             else:
                 occ_idle_cycles += 1
-            if hub is not None:
+            if trace_sched:
                 hub.emit(
                     "sched", engine_name, "cycle", cycle * period,
                     dur=period,

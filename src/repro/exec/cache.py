@@ -11,20 +11,18 @@ matter which process (or which run of the program) produced them.
 optionally mirrored to a directory of ``<key>.json`` files so repeated
 sweeps across program invocations are near-free.  The on-disk cache is
 also where an interrupted sweep resumes from: `ParallelSweep` stores
-each point as soon as it finishes.
+each point as soon as it finishes.  It stays readable across crashes by
+the rule in DESIGN.md's "Durable storage" paragraph (`repro.durable`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import os
-import threading
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
+from repro.durable import DurableStore
 from repro.system.soc import RunResult
 
 
@@ -109,100 +107,30 @@ def run_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
     return _digest({"datapath": datapath_key, "memory": memory_key})
 
 
-class RunCache:
+class RunCache(DurableStore):
     """Key -> `RunResult` store with hit/miss accounting.
 
     Results are held as their `to_dict` payloads and rehydrated on every
     `get`, so callers can never mutate a cached entry in place.  With a
-    ``path`` the payloads are also written as ``<key>.json`` files and
-    found again by later processes.
-
-    The on-disk mirror is crash-safe: `put` writes to a temp file and
-    atomically renames it into place (a killed process never leaves a
-    half-written entry under a live key), and `_load` treats anything
-    unreadable as a miss — the corrupt file is renamed to
-    ``<key>.json.corrupt`` for post-mortem instead of poisoning reruns.
+    ``path`` the payloads are also written as ``<key>.json`` files (JSON
+    with sorted keys) and found again by later processes; a file that
+    does not hold a JSON object is quarantined as ``<key>.json.corrupt``.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
-        self.path = Path(path) if path is not None else None
-        if self.path is not None:
-            self.path.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
+    SUFFIX = ".json"
 
-    # ------------------------------------------------------------------
-    def _load(self, key: str) -> Optional[dict]:
-        payload = self._memory.get(key)
-        if payload is None and self.path is not None:
-            entry = self.path / f"{key}.json"
-            try:
-                text = entry.read_text()
-            except OSError:
-                return None  # absent (or unreadable): plain miss
-            try:
-                payload = json.loads(text)
-            except ValueError:
-                self._quarantine(entry)
-                return None
-            if not isinstance(payload, dict):
-                self._quarantine(entry)
-                return None
-            self._memory[key] = payload
-        return payload
-
-    def _quarantine(self, entry: Path) -> None:
-        """Move a corrupt entry aside (``*.json.corrupt`` escapes the
-        ``*.json`` glob, so it is invisible to lookups and __len__)."""
-        self.quarantined += 1
-        with contextlib.suppress(OSError):
-            os.replace(entry, entry.parent / (entry.name + ".corrupt"))
+    def _decode(self, key: str, blob: bytes) -> Optional[dict]:
+        try:
+            payload = json.loads(blob)
+        except ValueError:
+            return None
+        return payload if isinstance(payload, dict) else None
 
     def get(self, key: str) -> Optional[RunResult]:
-        payload = self._load(key)
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return RunResult.from_dict(payload)
+        payload = self._lookup(key)
+        return None if payload is None else RunResult.from_dict(payload)
 
     def put(self, key: str, result: RunResult) -> None:
         payload = result.to_dict()
-        self._memory[key] = payload
-        if self.path is not None:
-            # Atomic publish: readers either see the old entry, no
-            # entry, or the complete new one — never a partial write.
-            # The temp name is unique per writer *thread*, not just per
-            # process: the job server's worker threads share one cache,
-            # and a pid-only suffix would let two threads interleave
-            # writes into the same temp file.
-            tmp = (self.path
-                   / f"{key}.json.tmp{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, self.path / f"{key}.json")
-
-    # ------------------------------------------------------------------
-    def __contains__(self, key: str) -> bool:
-        return self._load(key) is not None
-
-    def __len__(self) -> int:
-        if self.path is not None:
-            on_disk = {entry.stem for entry in self.path.glob("*.json")}
-            return len(on_disk | set(self._memory))
-        return len(self._memory)
-
-    def clear(self) -> None:
-        self._memory.clear()
-        if self.path is not None:
-            for pattern in ("*.json", "*.json.corrupt", "*.json.tmp*"):
-                for entry in self.path.glob(pattern):
-                    entry.unlink()
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        where = f" at {self.path}" if self.path else ""
-        return f"<RunCache {len(self)} entries{where} hits={self.hits} misses={self.misses}>"
+        self._put(key, payload,
+                  lambda: json.dumps(payload, sort_keys=True).encode())

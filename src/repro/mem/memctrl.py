@@ -235,7 +235,7 @@ class AcceleratorMemController(SimObject):
     def _finish(self, request: MemRequest) -> None:
         request.complete_tick = self.cur_tick
         probe = self._probe
-        if probe is not None:
+        if probe is not None and probe.enabled("mem"):
             # One span per accelerator memory op, issue -> completion.
             probe.emit(
                 "mem", self.name, "read" if request.is_read else "write",

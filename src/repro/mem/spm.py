@@ -143,7 +143,7 @@ class Scratchpad(SimObject):
             resp = pkt.make_response()
         resp.resp_tick = self.cur_tick
         probe = self._probe
-        if probe is not None:
+        if probe is not None and probe.enabled("mem"):
             probe.emit(
                 "mem", self.name, "read" if is_read else "write",
                 pkt.req_tick, dur=self.cur_tick - pkt.req_tick,

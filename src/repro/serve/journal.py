@@ -14,15 +14,18 @@ that gap with the classic write-ahead-log recipe:
   threads never interleave partial lines.
 * **Snapshot + compaction** (``<state-dir>/snapshot.json``).  Every
   ``snapshot_every`` appends (and on graceful drain) the full queue
-  state is written atomically (temp file + ``os.replace``) and the
-  journal truncated, so the journal never grows without bound and
-  recovery stays O(recent activity).
-* **Corrupt-tail tolerance**, in the same quarantine style as
-  `RunCache`: a crash mid-append leaves a truncated final line.
+  state is published atomically and the journal truncated, so the
+  journal never grows without bound and recovery stays O(recent
+  activity).
+* **Corrupt-tail tolerance**: a crash mid-append leaves a truncated
+  final line.
   Recovery replays up to the first unparsable record, moves the
   suspect tail aside as ``journal.jsonl.corrupt`` for post-mortem,
   and rewrites the journal to the good prefix — a damaged tail can
   never poison later appends or reruns.
+
+Publishing and quarantining follow the rule in DESIGN.md's "Durable
+storage" paragraph, owned by `repro.durable`.
 
 Recovery (`recover_queue`) replays snapshot + journal into a fresh
 `JobQueue`: terminal jobs are kept verbatim (GET still serves their
@@ -46,8 +49,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Optional, Union
 
+from repro.durable import publish, quarantine
 from repro.serve.jobs import Job, JobQueue
 
 #: Default appends between automatic snapshot/compaction cycles.
@@ -158,16 +162,15 @@ class JobJournal:
         append happens before the journal append), so replaying it on
         top of the snapshot is an idempotent no-op.
         """
-        tmp = self.dir / f"{self.SNAPSHOT_NAME}.tmp{os.getpid()}"
         try:
-            _write_snapshot(tmp, queue)
+            publish(self.snapshot_path,
+                    lambda fh: _write_snapshot(fh, queue))
         except OSError:
             with self._lock:
                 self.write_errors += 1
             return
         with self._lock:
             try:
-                os.replace(tmp, self.snapshot_path)
                 if self._fh is not None:
                     self._fh.close()
                     self._fh = None
@@ -218,7 +221,8 @@ class JobJournal:
             counters.update({k: int(v) for k, v
                              in snapshot.get("counters", {}).items()})
         except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(self.snapshot_path)
+            self.quarantined += 1
+            quarantine(self.snapshot_path)
 
     def _replay_journal(self, jobs: dict, upsert, counters: dict) -> None:
         try:
@@ -253,21 +257,13 @@ class JobJournal:
                 self._rewrite(good_lines)
         if bad_tail:
             self.quarantined += 1
-            try:
-                with open(self.journal_path.parent
-                          / (self.JOURNAL_NAME + ".corrupt"), "ab") as fh:
-                    fh.write(bad_tail)
-            except OSError:
-                pass
+            quarantine(self.journal_path, tail=bad_tail)
             self._rewrite(good_lines)
 
     def _rewrite(self, good_lines: list) -> None:
-        """Replace the journal with its parsable prefix (atomic)."""
-        tmp = self.dir / f"{self.JOURNAL_NAME}.tmp{os.getpid()}"
+        """Replace the journal with its parsable prefix."""
         try:
-            with open(tmp, "wb") as fh:
-                fh.writelines(good_lines)
-            os.replace(tmp, self.journal_path)
+            publish(self.journal_path, b"".join(good_lines))
         except OSError:
             self.write_errors += 1
 
@@ -306,14 +302,6 @@ class JobJournal:
         # Unknown record kinds are skipped: a newer server may have
         # written them, and ignoring beats refusing to start.
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt file aside (`RunCache` style) and count it."""
-        self.quarantined += 1
-        try:
-            os.replace(path, path.parent / (path.name + ".corrupt"))
-        except OSError:
-            pass
-
     # -- observability -------------------------------------------------
     def stats(self) -> dict:
         return {
@@ -328,8 +316,8 @@ class JobJournal:
         }
 
 
-def _write_snapshot(path: Path, queue: JobQueue) -> None:
-    """Write the snapshot document one job at a time.
+def _write_snapshot(fh: BinaryIO, queue: JobQueue) -> None:
+    """Write the snapshot document to ``fh`` one job at a time.
 
     A snapshot holds every job's result.  Built as one string it is a
     transient second copy of all of them, which raises the server's
@@ -337,16 +325,17 @@ def _write_snapshot(path: Path, queue: JobQueue) -> None:
     document is the one ``json.dumps(snapshot, sort_keys=True)`` would
     produce.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"counters": '
-                 + json.dumps(queue.counters(), sort_keys=True)
-                 + ', "jobs": [')
-        for index, job in enumerate(queue.jobs.values()):
-            if index:
-                fh.write(", ")
-            fh.write(json.dumps(job.to_journal(), sort_keys=True, default=str))
-        fh.write(f'], "t": {json.dumps(round(time.time(), 6))}, '
-                 f'"version": {JOURNAL_VERSION}}}')
+    def write(text: str) -> None:
+        fh.write(text.encode("utf-8"))
+
+    write('{"counters": ' + json.dumps(queue.counters(), sort_keys=True)
+          + ', "jobs": [')
+    for index, job in enumerate(queue.jobs.values()):
+        if index:
+            write(", ")
+        write(json.dumps(job.to_journal(), sort_keys=True, default=str))
+    write(f'], "t": {json.dumps(round(time.time(), 6))}, '
+          f'"version": {JOURNAL_VERSION}}}')
 
 
 def _id_floor(job_ids: list) -> int:

@@ -212,18 +212,15 @@ def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
 
 
 def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
-    from repro.analysis import AnalysisReport, lint_function
-    from repro.analysis.memdep import memdep_diagnostics
+    from repro.analysis import analyze_module, analyze_scenario
     from repro.build import build_module
 
     scenario = spec.get("scenario")
     if scenario:
         # System-level concurrency lint (SYS301-306) of a scenario, the
         # same resolution rules as ``repro analyze --scenario``.
-        from repro.cli import _analyze_scenario
-
         publish("linting scenario")
-        report = _analyze_scenario(scenario)
+        report = analyze_scenario(scenario)
         return json.loads(report.render_json())
 
     source = spec.get("source")
@@ -239,14 +236,8 @@ def _job_analyze(spec: dict, state: "ServerState", publish) -> dict:
     artifact = build_module(source, func, unroll_factor=unroll,
                             pipeline=spec.get("passes"),
                             store=state.artifact_store)
-    module = artifact.module
     publish("linting")
-    report = AnalysisReport(subject=label)
-    for function in module:
-        if not function.blocks:
-            continue
-        lint_function(function, module, report=report)
-        report.extend(memdep_diagnostics(function))
+    report = analyze_module(label, artifact.module)
     return json.loads(report.render_json())
 
 
@@ -278,23 +269,9 @@ class ServerState:
     def cache_stats(self) -> dict:
         from repro.build import STAGE_COUNTERS
 
-        stats = {
-            "run_cache": {
-                "entries": len(self.run_cache),
-                "hits": self.run_cache.hits,
-                "misses": self.run_cache.misses,
-                "quarantined": self.run_cache.quarantined,
-            },
-            "stage_counters": STAGE_COUNTERS.snapshot(),
-        }
-        store = self.artifact_store
-        stats["artifact_store"] = {
-            "entries": len(store),
-            "hits": store.hits,
-            "misses": store.misses,
-            "quarantined": store.quarantined,
-        }
-        return stats
+        return {"run_cache": self.run_cache.stats(),
+                "stage_counters": STAGE_COUNTERS.snapshot(),
+                "artifact_store": self.artifact_store.stats()}
 
 
 def execute_job(job: Job, state: ServerState) -> tuple[Optional[dict],

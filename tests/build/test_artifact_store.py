@@ -157,7 +157,7 @@ def test_quarantined_graph_key_drops_decoded_entry(tmp_path):
     store = ArtifactStore(tmp_path)
     lowered = _graph_artifact(store)
     assert lowered.key in store
-    store._quarantine(lowered.key, store._entry(lowered.key))
+    store._quarantine(lowered.key)
     assert lowered.key not in store._memory
     assert lowered.key not in store
     assert (tmp_path / f"{lowered.key}.art.corrupt").exists()

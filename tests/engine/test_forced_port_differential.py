@@ -77,3 +77,27 @@ def test_port_backed_commit_order_matches_dynamic(name, memory):
         spans[engine] = [(event.tick, event.kind, event.dur, event.args)
                          for event in ctx.trace_hub.events("compute")]
     assert spans["graph"] and spans["graph"] == spans["dynamic"]
+
+
+class EmitCounter(MemoryWatcher):
+    """A memory watcher that records no trace channel, counting emits."""
+
+    def __init__(self):
+        self.emits = 0
+
+    def emit(self, channel, source, kind, tick, dur=0, args=None):
+        self.emits += 1
+
+
+@pytest.mark.parametrize("name,engine", [("gemm", "graph"),
+                                         ("gemm_dse", "dynamic")])
+def test_observer_without_channels_sees_no_emits(name, engine):
+    # Compute commits, per-cycle ``sched`` logs and memory completions
+    # build their trace payloads only for an observer that records them.
+    counter = EmitCounter()
+    ctx = SimContext(get_workload(name), seed=7, verify=False, engine=engine,
+                     memory="spm", spm_bytes=1 << 16, unroll_factor=4)
+    ctx.build().system.attach_probe(counter)
+    ctx.run()
+    assert ctx.engine_used == engine
+    assert counter.emits == 0

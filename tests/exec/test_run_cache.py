@@ -122,6 +122,14 @@ def test_non_dict_payload_is_quarantined(tmp_path):
     assert cache.quarantined == 1
 
 
+def test_non_utf8_entry_is_quarantined(tmp_path):
+    cache = RunCache(tmp_path / "runs")
+    (tmp_path / "runs" / "feedf00d.json").write_bytes(b"\xff\xfe{")
+    assert cache.get("feedf00d") is None
+    assert cache.quarantined == 1
+    assert (tmp_path / "runs" / "feedf00d.json.corrupt").exists()
+
+
 def test_put_after_quarantine_recovers_the_key(tmp_path):
     result = _one_result()
     cache = RunCache(tmp_path / "runs")
