@@ -11,10 +11,11 @@ timings and free-form metadata, rendered as text (for humans) or JSON
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Optional
+
+from repro.sim.probe import Timings
 
 
 class Severity(IntEnum):
@@ -95,15 +96,16 @@ class Diagnostic:
 class AnalysisReport:
     """An ordered collection of diagnostics plus timings and metadata.
 
-    ``timings`` maps rule/analysis names to accumulated seconds (the
-    per-rule timings the build trace channel mirrors); ``meta`` carries
-    analysis-specific payloads (e.g. the dependence summary).
+    ``timings`` maps rule/analysis names to accumulated seconds
+    (``with report.timings.span(rule):``); nothing emits them on a trace
+    channel.  ``meta`` carries analysis-specific payloads (e.g. the
+    dependence summary).
     """
 
     def __init__(self, subject: str = "") -> None:
         self.subject = subject
         self.diagnostics: list[Diagnostic] = []
-        self.timings: dict[str, float] = {}
+        self.timings = Timings()
         self.meta: dict = {}
 
     # -- building ----------------------------------------------------------
@@ -122,17 +124,9 @@ class AnalysisReport:
     def extend(self, other: "AnalysisReport") -> "AnalysisReport":
         """Merge another report's findings, timings, and metadata."""
         self.diagnostics.extend(other.diagnostics)
-        for name, seconds in other.timings.items():
-            self.timings[name] = self.timings.get(name, 0.0) + seconds
+        self.timings.merge(other.timings)
         self.meta.update(other.meta)
         return self
-
-    def record_timing(self, name: str, seconds: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + seconds
-
-    def timed(self, name: str) -> "_TimedSection":
-        """``with report.timed("rule"):`` accumulates wall-clock seconds."""
-        return _TimedSection(self, name)
 
     # -- queries -----------------------------------------------------------
     def by_severity(self, severity: Severity) -> list[Diagnostic]:
@@ -223,16 +217,3 @@ class AnalysisReport:
         return (f"<AnalysisReport {self.subject or '-'} "
                 f"E{counts['error']}/W{counts['warning']}/N{counts['note']}>")
 
-
-class _TimedSection:
-    def __init__(self, report: AnalysisReport, name: str) -> None:
-        self.report = report
-        self.name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimedSection":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.report.record_timing(self.name, time.perf_counter() - self._start)

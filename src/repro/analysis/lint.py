@@ -393,7 +393,7 @@ def lint_function(
         return report
     ctx = LintContext(func, module)
     for rule in rules if rules is not None else all_rules():
-        with report.timed(rule.name):
+        with report.timings.span(rule.name):
             rule.run(ctx, report)
     return report
 

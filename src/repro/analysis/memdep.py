@@ -390,7 +390,7 @@ def memdep_diagnostics(
     partitioning (banking) would break the false dependence.
     """
     analysis = AnalysisReport(subject=func.name)
-    with analysis.timed("memdep"):
+    with analysis.timings.span("memdep"):
         dep = dependence_report(func, assume_restrict)
     analysis.meta["dependence"] = dep.to_dict()
     summary = ", ".join(f"{k}={v}" for k, v in sorted(dep.edge_counts.items()))

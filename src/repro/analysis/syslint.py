@@ -175,16 +175,16 @@ def lint_system(
     SYS304-306) over a system description."""
     if report is None:
         report = AnalysisReport(subject="system")
-    with report.timed("sys-overlap"):
+    with report.timings.span("sys-overlap"):
         _check_overlaps(desc.regions, report)
-    with report.timed("sys-footprint"):
+    with report.timings.span("sys-footprint"):
         _check_footprints(desc, report)
-    with report.timed("sys-dma"):
+    with report.timings.span("sys-dma"):
         _check_transfers(desc, report)
     if desc.concurrency is not None:
         from repro.analysis.concurrency import lint_concurrency
 
-        with report.timed("sys-concurrency"):
+        with report.timings.span("sys-concurrency"):
             lint_concurrency(desc.concurrency, report)
     report.meta.setdefault("system", desc.to_dict())
     return report

@@ -24,7 +24,6 @@ same module as an unverified one (or no module at all).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,9 +180,9 @@ class VerifiedPassManager(PassManager):
     """A `PassManager` that differentially verifies after every pass.
 
     Drop-in replacement: `PipelineSpec.to_pass_manager` returns one when
-    the spec has ``verify_each=True``.  Per-pass wall-clock timings land
-    in ``pass_timings`` (also maintained by the base class) so the build
-    pipeline can mirror them onto the ``build`` trace channel.
+    the spec has ``verify_each=True``.  It adds a golden run before the
+    base class's pass loop (and its per-pass timing spans) and overrides
+    only the check after each pass.
     """
 
     def __init__(self, passes: list[FunctionPass], verify: bool = True,
@@ -192,39 +191,38 @@ class VerifiedPassManager(PassManager):
         self.module = module
         #: func names whose golden run failed (not differentially checked).
         self.unchecked: list[str] = []
+        self._plans: list[_ArgPlan] = []
+        self._golden: Optional[_Outcome] = None
 
     def run_function(self, func: Function) -> bool:
         module = self.module or func.parent
-        plans = plan_inputs(func)
-        golden: Optional[_Outcome] = None
+        self._plans = plan_inputs(func)
+        self._golden = None
         if module is not None:
             try:
-                golden = _execute(module, func.name, plans)
+                self._golden = _execute(module, func.name, self._plans)
             except (InterpreterError, MemoryError_):
                 # Not executable under the synthesized inputs (e.g. data-
                 # dependent loop blowing the budget, or accesses outside
                 # the synthesized buffers): structural checks only.
                 self.unchecked.append(func.name)
-        changed_any = False
-        for pass_ in self.passes:
-            start = time.perf_counter()
-            changed = pass_.run(func)
-            self.pass_timings.append(
-                (func.name, pass_.name, time.perf_counter() - start))
-            self.history.append((func.name, pass_.name, changed))
-            changed_any |= changed
-            # Verify after *every* pass: a pass that corrupts the IR while
-            # reporting changed=False is precisely what we're hunting.
-            if self.verify:
-                verify_function(func, module)
-            if golden is not None:
-                try:
-                    candidate = _execute(module, func.name, plans)
-                except (InterpreterError, MemoryError_) as exc:
-                    raise PassDivergenceError(
-                        pass_.name, func.name,
-                        f"function no longer executes: {exc}") from exc
-                detail = _compare(golden, candidate)
-                if detail is not None:
-                    raise PassDivergenceError(pass_.name, func.name, detail)
-        return changed_any
+        return super().run_function(func)
+
+    def _after_pass(self, func: Function, pass_: FunctionPass,
+                    changed: bool) -> None:
+        module = self.module or func.parent
+        # Verify after *every* pass: a pass that corrupts the IR while
+        # reporting changed=False is precisely what we're hunting.
+        if self.verify:
+            verify_function(func, module)
+        if self._golden is None:
+            return
+        try:
+            candidate = _execute(module, func.name, self._plans)
+        except (InterpreterError, MemoryError_) as exc:
+            raise PassDivergenceError(
+                pass_.name, func.name,
+                f"function no longer executes: {exc}") from exc
+        detail = _compare(self._golden, candidate)
+        if detail is not None:
+            raise PassDivergenceError(pass_.name, func.name, detail)

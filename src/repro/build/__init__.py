@@ -22,10 +22,14 @@ from repro.build.pipeline import (
     StageCounters,
     build_design,
     build_module,
-    resolve_spec,
 )
 from repro.build.store import ArtifactStore
-from repro.passes.pipeline import PassStep, PipelineSpec, PipelineSpecError
+from repro.passes.pipeline import (
+    PassStep,
+    PipelineSpec,
+    PipelineSpecError,
+    resolve_spec,
+)
 
 __all__ = [
     "ARTIFACT_KINDS",

@@ -2,9 +2,9 @@
 
 This is the front half of the paper's Fig. 2 flow, reified: each stage
 is an explicit method that consumes and produces `Artifact`s, with
-per-stage wall-clock timing recorded on the pipeline (and, when a
-`TraceHub` is attached, emitted on the ``build`` trace channel).  The
-stages:
+per-stage and per-pass wall-clock spans summed in the pipeline's
+`Timings` (and, when a `TraceHub` is attached, emitted on the
+``build`` trace channel).  The stages:
 
 * ``parse``     — mini-C source -> AST (`TranslationUnit`)
 * ``lower``     — AST -> raw SSA `Module` (naive alloca codegen)
@@ -25,7 +25,6 @@ assert on them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -43,7 +42,8 @@ from repro.core.llvm_interface import LLVMInterface
 from repro.hw.profile import HardwareProfile
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
-from repro.passes.pipeline import PipelineSpec
+from repro.passes.pipeline import PipelineSpec, resolve_spec
+from repro.sim.probe import Timings
 
 
 @dataclass
@@ -88,48 +88,27 @@ class BuildPipeline:
     ) -> None:
         self.spec = PipelineSpec.parse(pipeline)
         self.store = store
-        self.trace_hub = trace_hub
-        #: Stage -> seconds for the most recent build_module() call.
-        self.timings: dict[str, float] = {}
-
-    # -- stage plumbing ----------------------------------------------------
-    def _record(self, stage: str, seconds: float, **detail) -> None:
-        setattr(STAGE_COUNTERS, stage, getattr(STAGE_COUNTERS, stage) + 1)
-        self.timings[stage] = self.timings.get(stage, 0.0) + seconds
-        hub = self.trace_hub
-        if hub is not None and hub.enabled("build"):
-            hub.emit("build", "build.pipeline", stage, tick=0,
-                     args=dict(detail, seconds=round(seconds, 6)))
-
-    def _emit_pass_timings(self, manager) -> None:
-        """Per-pass timings -> self.timings and the build trace channel."""
-        hub = self.trace_hub
-        emit = hub is not None and hub.enabled("build")
-        for func_name, pass_name, seconds in manager.pass_timings:
-            key = f"pass:{pass_name}"
-            self.timings[key] = self.timings.get(key, 0.0) + seconds
-            if emit:
-                hub.emit("build", "build.pipeline", key, tick=0,
-                         args={"func": func_name,
-                               "seconds": round(seconds, 6)})
+        #: Stage and ``pass:<name>`` -> seconds for the most recent
+        #: build_module() call; spans emit on the ``build`` channel.
+        self.timings = Timings(trace_hub, "build", "build.pipeline")
 
     # -- stages ------------------------------------------------------------
     def parse(self, source: str) -> Artifact:
         """Stage 1: mini-C source -> AST."""
         from repro.frontend.parser import parse_c
 
-        start = time.perf_counter()
-        unit = parse_c(source)
-        self._record("parse", time.perf_counter() - start)
+        with self.timings.span("parse"):
+            unit = parse_c(source)
+        STAGE_COUNTERS.parse += 1
         return Artifact("ast", unit)
 
     def lower(self, ast: Artifact, name: str = "module") -> Artifact:
         """Stage 2: AST -> raw (unoptimized) SSA module."""
         from repro.frontend.codegen import lower_to_ir
 
-        start = time.perf_counter()
-        module = lower_to_ir(ast.payload, name)
-        self._record("lower", time.perf_counter() - start, name=name)
+        with self.timings.span("lower", name=name):
+            module = lower_to_ir(ast.payload, name)
+        STAGE_COUNTERS.lower += 1
         return Artifact("ir", module, meta=dict(ast.meta))
 
     def optimize(self, ir: Artifact) -> Artifact:
@@ -144,18 +123,17 @@ class BuildPipeline:
         `VerifiedPassManager`: every pass is followed by a structural
         verify plus a golden-interpreter differential check, and the
         first divergence raises `PassDivergenceError` naming the pass.
-        Per-pass wall-clock timings are mirrored onto the ``build``
-        trace channel as ``pass:<name>`` events either way.
+        Either manager times each pass into this pipeline's `Timings`,
+        so ``pass:<name>`` spans reach the ``build`` channel as they end.
         """
         module = ir.payload if isinstance(ir, Artifact) else ir
-        start = time.perf_counter()
-        if self.spec:
-            manager = self.spec.to_pass_manager(module=module)
-            manager.run(module)
-            verify_module(module)
-            self._emit_pass_timings(manager)
-        self._record("optimize", time.perf_counter() - start,
-                     pipeline=self.spec.canonical())
+        with self.timings.span("optimize", pipeline=self.spec.canonical()):
+            if self.spec:
+                manager = self.spec.to_pass_manager(module=module)
+                manager.timings = self.timings
+                manager.run(module)
+                verify_module(module)
+        STAGE_COUNTERS.optimize += 1
         meta = dict(ir.meta if isinstance(ir, Artifact) else {})
         module.fingerprint = module_fingerprint(module)
         meta.update(pipeline=self.spec.canonical(),
@@ -191,10 +169,9 @@ class BuildPipeline:
         if cached is not None:
             record = cached.payload
         else:
-            start = time.perf_counter()
-            record = elaborate_function(func, config.fu_limits)
-            self._record("elaborate", time.perf_counter() - start,
-                         func_name=func_name)
+            with self.timings.span("elaborate", func_name=func_name):
+                record = elaborate_function(func, config.fu_limits)
+            STAGE_COUNTERS.elaborate += 1
             if self.store is not None:
                 self.store.put(key, Artifact("elaboration", record, key=key))
         if profile is None:
@@ -231,10 +208,9 @@ class BuildPipeline:
             cached = self.store.get(key)
             if cached is not None:
                 return cached
-        start = time.perf_counter()
-        sim_graph = compile_graph(payload)
-        self._record("graph", time.perf_counter() - start,
-                     func_name=payload.func_name)
+        with self.timings.span("graph", func_name=payload.func_name):
+            sim_graph = compile_graph(payload)
+        STAGE_COUNTERS.graph += 1
         meta = dict(design.meta) if isinstance(design, Artifact) else {}
         meta["graph_version"] = GRAPH_FORMAT_VERSION
         artifact = Artifact("graph", sim_graph, key=key, meta=meta)
@@ -282,34 +258,6 @@ class BuildPipeline:
         artifact = self.build_module(source, func_name)
         return self.elaborate(artifact, func_name,
                               profile=profile, config=config).payload
-
-
-def resolve_spec(
-    pipeline: Union[str, PipelineSpec, None] = None,
-    *,
-    optimize: bool = True,
-    opt_level: int = 1,
-    unroll_factor: int = 1,
-    verify_each: bool = False,
-) -> PipelineSpec:
-    """Reduce the historical compile knobs to one declarative spec.
-
-    An explicit ``pipeline`` wins; otherwise ``optimize``/``opt_level``/
-    ``unroll_factor`` select the matching standard preset — so legacy
-    call sites and ``--passes`` users land on the same cache keys.
-    ``verify_each`` toggles the verified pipeline mode on the result
-    (it does not participate in cache keys).
-    """
-    if pipeline is not None:
-        spec = PipelineSpec.parse(pipeline)
-    elif not optimize:
-        spec = PipelineSpec()
-    else:
-        spec = PipelineSpec.standard(opt_level=opt_level,
-                                     unroll_factor=unroll_factor)
-    if verify_each and not spec.verify_each:
-        spec = spec.with_verify_each()
-    return spec
 
 
 def build_module(

@@ -89,8 +89,9 @@ from repro.ir.values import Argument, Constant, Instruction
 #: scheduler consults the live config — so memory-only sweeps share one
 #: stored graph.  v3: the scheduler's operand templates, bindings, FU
 #: class ids and gates are built at lowering and pickle with the graph,
-#: replacing the operand descriptors.)
-GRAPH_FORMAT_VERSION = 3
+#: replacing the operand descriptors.  v4: the unread per-node
+#: ``fu_class`` list left the graph; lowering reads the record's.)
+GRAPH_FORMAT_VERSION = 4
 
 # Node kind codes (what the scheduler dispatches on, instead of
 # isinstance chains).
@@ -365,7 +366,6 @@ class SimGraph:
 
         # -- per-node kind / FU / latency / energy -----------------------
         self.kind = [K_OTHER] * n
-        self.fu_class: list[str] = list(record.fu_class)
         self.dedicated = [False] * n
         self.pipelined = [True] * n
         self.latency = [0] * n

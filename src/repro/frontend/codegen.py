@@ -607,16 +607,11 @@ def compile_c(
     This is the low-level, uncached compile; `repro.build.build_module`
     is the staged, artifact-cached entry point consumers should prefer.
     """
-    from repro.passes.pipeline import PipelineSpec
+    from repro.passes.pipeline import resolve_spec
 
     module = lower_to_ir(parse_c(source), module_name)
-    if passes is not None:
-        spec = PipelineSpec.parse(passes)
-    elif optimize:
-        spec = PipelineSpec.standard(opt_level=opt_level,
-                                     unroll_factor=unroll_factor)
-    else:
-        spec = PipelineSpec()
+    spec = resolve_spec(passes, optimize=optimize, opt_level=opt_level,
+                        unroll_factor=unroll_factor)
     if spec:
         spec.to_pass_manager(module=module).run(module)
         verify_module(module)

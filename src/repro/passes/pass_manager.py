@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_function
+from repro.sim.probe import Timings
 
 
 class FunctionPass:
@@ -26,10 +25,9 @@ class PassManager:
     def __init__(self, passes: list[FunctionPass], verify: bool = True) -> None:
         self.passes = list(passes)
         self.verify = verify
-        self.history: list[tuple[str, str, bool]] = []
-        #: (func name, pass name, wall-clock seconds) per pass execution;
-        #: the build pipeline mirrors these onto the `build` trace channel.
-        self.pass_timings: list[tuple[str, str, float]] = []
+        #: ``pass:<name>`` -> seconds; `BuildPipeline.optimize` points
+        #: this at its own `Timings` so pass spans reach the build channel.
+        self.timings = Timings()
 
     def add(self, pass_: FunctionPass) -> "PassManager":
         self.passes.append(pass_)
@@ -38,15 +36,19 @@ class PassManager:
     def run_function(self, func: Function) -> bool:
         changed_any = False
         for pass_ in self.passes:
-            start = time.perf_counter()
-            changed = pass_.run(func)
-            self.pass_timings.append(
-                (func.name, pass_.name, time.perf_counter() - start))
-            self.history.append((func.name, pass_.name, changed))
+            # The check is inside the span: a pass it rejects records
+            # nothing, so a failed build emits no event for that pass.
+            with self.timings.span(f"pass:{pass_.name}", func=func.name):
+                changed = pass_.run(func)
+                self._after_pass(func, pass_, changed)
             changed_any |= changed
-            if self.verify and changed:
-                verify_function(func)
         return changed_any
+
+    def _after_pass(self, func: Function, pass_: FunctionPass,
+                    changed: bool) -> None:
+        """Hook: checks ``func`` after ``pass_``; raises on a bad result."""
+        if self.verify and changed:
+            verify_function(func)
 
     def run(self, module: Module) -> bool:
         # The module is about to change: drop its recorded fingerprint.

@@ -198,3 +198,31 @@ class PipelineSpec:
 
             return VerifiedPassManager(passes, verify=verify, module=module)
         return PassManager(passes, verify=verify)
+
+
+def resolve_spec(
+    pipeline: Union[str, PipelineSpec, None] = None,
+    *,
+    optimize: bool = True,
+    opt_level: int = 1,
+    unroll_factor: int = 1,
+    verify_each: bool = False,
+) -> PipelineSpec:
+    """Reduce the historical compile knobs to one declarative spec.
+
+    An explicit ``pipeline`` wins; otherwise ``optimize``/``opt_level``/
+    ``unroll_factor`` select the matching standard preset — so legacy
+    call sites and ``--passes`` users land on the same cache keys.
+    ``verify_each`` toggles the verified pipeline mode on the result
+    (it does not participate in cache keys).
+    """
+    if pipeline is not None:
+        spec = PipelineSpec.parse(pipeline)
+    elif not optimize:
+        spec = PipelineSpec()
+    else:
+        spec = PipelineSpec.standard(opt_level=opt_level,
+                                     unroll_factor=unroll_factor)
+    if verify_each and not spec.verify_each:
+        spec = spec.with_verify_each()
+    return spec

@@ -156,21 +156,17 @@ class JobJournal:
         """Write an atomic full-state snapshot and truncate the journal.
 
         Must run on the thread that owns queue mutations (the server's
-        event loop); concurrent progress-event appends from worker
-        threads are safe either way — an event that lands after the
-        snapshot read is already in its job's event list (the list
-        append happens before the journal append), so replaying it on
-        top of the snapshot is an idempotent no-op.
+        event loop).  The lock is held from the snapshot read through
+        the truncation, so a worker thread's progress-event append
+        either lands before both (its event, appended to the job's list
+        before the journal, is in the snapshot) or waits and lands in
+        the fresh journal, where replaying it on top of the snapshot is
+        idempotent.
         """
-        try:
-            publish(self.snapshot_path,
-                    lambda fh: _write_snapshot(fh, queue))
-        except OSError:
-            with self._lock:
-                self.write_errors += 1
-            return
         with self._lock:
             try:
+                publish(self.snapshot_path,
+                        lambda fh: _write_snapshot(fh, queue))
                 if self._fh is not None:
                     self._fh.close()
                     self._fh = None

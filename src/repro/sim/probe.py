@@ -5,10 +5,16 @@ Every `SimObject` carries one ``_probe`` attribute, set by
 run (a hook site then pays one pointer compare), the observer itself
 when one is attached, a `ProbeFanout` when several are.  `TraceHub`,
 `FaultInjector` and `AccessSanitizer` subclass :class:`Probe`.
+
+`Timings` is the one wall-clock mechanism beside it: the build stages,
+the passes and the analysis rules each time their work in a span, and
+a span can report itself to a probe's channel.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from time import perf_counter
 from typing import Hashable, Optional
 
 
@@ -90,3 +96,36 @@ class ProbeFanout(Probe):
     def dma_action(self, obj):
         actions = [obs.dma_action(obj) for obs in self.observers]
         return next((action for action in actions if action is not None), None)
+
+
+class Timings(dict):
+    """Name -> summed wall-clock seconds of every :meth:`span` so named.
+
+    Given a ``probe``, a finished span also emits one ``channel`` event
+    from ``source`` (kind: the span's name, tick 0) whose args are the
+    span's detail plus its rounded ``seconds``.
+    """
+
+    def __init__(self, probe: Optional[Probe] = None, channel: str = "",
+                 source: str = "") -> None:
+        super().__init__()
+        self.probe = probe
+        self.channel = channel
+        self.source = source
+
+    @contextmanager
+    def span(self, name: str, /, **detail):
+        """Time the ``with`` body; a body that raises records nothing."""
+        start = perf_counter()
+        yield
+        seconds = perf_counter() - start
+        self[name] = self.get(name, 0.0) + seconds
+        probe = self.probe
+        if probe is not None and probe.enabled(self.channel):
+            probe.emit(self.channel, self.source, name, tick=0,
+                       args=dict(detail, seconds=round(seconds, 6)))
+
+    def merge(self, other: dict) -> None:
+        """Add ``other``'s seconds name by name."""
+        for name, seconds in other.items():
+            self[name] = self.get(name, 0.0) + seconds

@@ -211,6 +211,19 @@ def test_per_rule_timings_recorded():
     assert all(t >= 0 for t in report.timings.values())
 
 
+def test_analyze_json_timing_names():
+    from repro.analysis.reports import analyze_module
+
+    module = get_workload("gemm").build().module
+    rules = ["const-branch", "dead-store", "gep-bounds", "memdep",
+             "no-exit-loop", "uninit-load", "unreachable-block"]
+    report = analyze_module("gemm", module)
+    assert list(report.to_dict()["timings"]) == rules
+    report = analyze_module("gemm", module, spm_bytes=1 << 16)
+    assert list(report.to_dict()["timings"]) == sorted(
+        rules + ["sys-dma", "sys-footprint", "sys-overlap"])
+
+
 def test_all_shipped_workloads_error_free():
     """Acceptance gate: zero error-severity findings on shipped kernels."""
     for name in all_workload_names():

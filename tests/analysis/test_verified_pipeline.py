@@ -46,7 +46,7 @@ def test_clean_pipeline_passes():
         [Mem2Reg(), ConstantFold(), DeadCodeElimination()], module=module)
     manager.run(module)
     assert not manager.unchecked
-    assert manager.pass_timings  # per-pass timings recorded
+    assert manager.timings  # per-pass timings recorded
 
 
 def test_broken_pass_pinpointed():

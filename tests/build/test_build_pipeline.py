@@ -68,6 +68,55 @@ def test_build_events_on_trace_channel():
     assert any(k.startswith("pass:") for k in kinds)
 
 
+def test_build_event_order_and_arg_keys():
+    hub = TraceConfig(channels="build").make_hub()
+    build_module(SRC, "saxpy", pipeline="o1", trace_hub=hub)
+    events = list(hub.events())
+    assert {e.source for e in events} == {"build.pipeline"}
+    assert all(e.tick == 0 for e in events)
+    assert [e.kind for e in events] == [
+        "parse", "lower",
+        "pass:inline", "pass:mem2reg", "pass:constfold", "pass:dce",
+        "pass:loop-unroll", "pass:constfold", "pass:simplify-cfg", "pass:dce",
+        "optimize"]
+    keys = {"parse": ["seconds"], "lower": ["name", "seconds"],
+            "optimize": ["pipeline", "seconds"]}
+    for event in events:
+        expected = keys.get(event.kind, ["func", "seconds"])
+        assert list(event.args) == expected, event.kind
+    assert events[1].args["name"] == "saxpy"
+    assert {e.args["func"] for e in events[2:-1]} == {"saxpy"}
+    assert events[-1].args["pipeline"] == PipelineSpec.parse("o1").canonical()
+
+
+def test_diverging_pass_emits_no_pass_or_optimize_event(monkeypatch):
+    from repro.analysis.verified import PassDivergenceError, VerifiedPassManager
+    from repro.ir.instructions import BinaryOp
+    from repro.passes.pass_manager import FunctionPass
+
+    class FlipAdd(FunctionPass):
+        name = "flip-add"
+
+        def run(self, func):
+            for inst in func.instructions():
+                if isinstance(inst, BinaryOp) and inst.opcode == "fadd":
+                    inst.opcode = "fsub"
+                    return True
+            return False
+
+    monkeypatch.setattr(
+        PipelineSpec, "to_pass_manager",
+        lambda self, module=None, verify=True:
+            VerifiedPassManager([FlipAdd()], module=module))
+    hub = TraceConfig(channels="build").make_hub()
+    bp = BuildPipeline(PipelineSpec.parse("dce").with_verify_each(),
+                       trace_hub=hub)
+    with pytest.raises(PassDivergenceError):
+        bp.build_module(SRC, "saxpy")
+    assert [e.kind for e in hub.events()] == ["parse", "lower"]
+    assert set(bp.timings) == {"parse", "lower"}
+
+
 def test_untraced_channels_stay_silent():
     hub = TraceConfig(channels="compute").make_hub()
     build_module(SRC, "saxpy", pipeline="o1", trace_hub=hub)

@@ -6,7 +6,9 @@ a restarted ``repro serve --state-dir`` takes.
 """
 
 import json
+import threading
 
+import repro.serve.journal as journal_module
 from repro.exec.failures import FailureRecord
 from repro.serve.jobs import JobQueue, JobState
 from repro.serve.journal import JOURNAL_VERSION, JobJournal, recover_queue
@@ -164,6 +166,34 @@ def test_compaction_truncates_journal_and_preserves_state(tmp_path):
     for n, job in enumerate(jobs):
         assert queue2.jobs[job.id].result == {"n": n}
     assert queue2.executed == 3
+
+
+def test_event_published_during_compaction_survives(tmp_path, monkeypatch):
+    """A worker thread publishes between the snapshot write and the
+    journal truncation: the event must still be recovered."""
+    queue, journal = fresh(tmp_path)
+    job = queue.submit("run", {})
+    queue.claim()
+    worker = threading.Thread(target=job.publish, args=("point",))
+    publish = journal_module.publish
+
+    def publish_then_race(path, data):
+        publish(path, data)
+        worker.start()
+        # Long enough for an unguarded append to land before the
+        # truncation; a guarded one waits for the lock instead.
+        worker.join(timeout=1.0)
+
+    monkeypatch.setattr(journal_module, "publish", publish_then_race)
+    journal.compact(queue)
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    journal.close()
+    assert [e["event"] for e in job.events] == ["queued", "running", "point"]
+
+    queue2, __, __ = recovered(tmp_path)
+    assert [e["event"] for e in queue2.jobs[job.id].events][:3] \
+        == ["queued", "running", "point"]
 
 
 def test_streamed_snapshot_is_the_one_shot_document(tmp_path):
