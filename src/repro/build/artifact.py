@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from repro.core.cdfg import ELABORATION_FORMAT_VERSION
 from repro.core.llvm_interface import LLVMInterface
@@ -61,16 +61,16 @@ def artifact_key(source: str, name: str, pipeline) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def elaboration_key(module: Module, func_name: str,
-                    fu_limits: Optional[dict] = None) -> str:
+def elaboration_key(module: Module, func_name: str) -> str:
     """Content address of one `ElaborationRecord`: everything static
-    elaboration reads — the module text (via `module_fingerprint`), the
-    function, the FU limits — plus the record's format version."""
+    elaboration reads — the module text (via `module_fingerprint`) and
+    the function — plus the record's format version.  Not the FU
+    limits: the record holds none (`StaticCDFG` binds them per run), so
+    every FU-limit point of a sweep shares one record."""
     payload = {
         "version": ELABORATION_FORMAT_VERSION,
         "module": module_fingerprint(module),
         "func": func_name,
-        "fu_limits": dict(fu_limits or {}),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return f"elaboration:{hashlib.sha256(blob.encode('utf-8')).hexdigest()}"

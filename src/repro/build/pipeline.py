@@ -152,11 +152,13 @@ class BuildPipeline:
         The only way a unit elaborates (`ComputeUnit` calls it).
         Store-aware: the FU mapping is an identity-free
         `ElaborationRecord` keyed by `elaboration_key` (module
-        fingerprint, function, FU limits, format version).  A store hit
-        shares the store's read-only record, so every unit of a sweep
-        process on one datapath elaborates once, whichever private copy
-        of the module it holds; the design itself (profile, latencies,
-        static power/area) is rebuilt per call and is O(FU classes).
+        fingerprint, function, format version).  FU limits are not
+        keyed: the design binds ``config.fu_limits`` per call.  A store
+        hit shares the store's read-only record, so every unit of a
+        sweep process on one function elaborates once, under any FU
+        limits and whichever private copy of the module it holds; the
+        design itself (profile, latencies, unit counts, static
+        power/area) is rebuilt per call and is O(FU classes).
         """
         module = opt_ir.module if isinstance(opt_ir, Artifact) else opt_ir
         config = config or DeviceConfig()
@@ -164,13 +166,13 @@ class BuildPipeline:
         func = module.get_function(func_name)
         cached = None
         if self.store is not None:
-            key = elaboration_key(module, func_name, config.fu_limits)
+            key = elaboration_key(module, func_name)
             cached = self.store.get(key)
         if cached is not None:
             record = cached.payload
         else:
             with self.timings.span("elaborate", func_name=func_name):
-                record = elaborate_function(func, config.fu_limits)
+                record = elaborate_function(func)
             STAGE_COUNTERS.elaborate += 1
             if self.store is not None:
                 self.store.put(key, Artifact("elaboration", record, key=key))
@@ -189,12 +191,14 @@ class BuildPipeline:
 
         The lowering for the graph-compiled execution backend
         (`repro.engine`).  Store-aware: the key covers the module
-        fingerprint, function, the datapath side of the device config,
-        hardware profile, and the graph format version.  A store hit
-        returns the store's shared, read-only `SimGraph` (a new
-        `Artifact` wrapper around the same payload), so every point of
-        a sweep process that shares a datapath — memory-only knobs do
-        not join the key — runs on one lowering, thunks included.
+        fingerprint, function, the datapath side of the device config
+        except its FU limits, hardware profile, and the graph format
+        version.  A store hit returns the store's shared, read-only
+        `SimGraph` (a new `Artifact` wrapper around the same payload),
+        so every point of a sweep process that shares a function —
+        memory-only knobs and FU limits do not join the key; each run
+        binds its limits (`SimGraph.fu_binding`) — runs on one
+        lowering, thunks included.
         """
         from repro.engine.graph import (
             GRAPH_FORMAT_VERSION,

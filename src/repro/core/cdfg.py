@@ -8,7 +8,9 @@ block-by-block at runtime (the paper's dual-CDFG approach).
 
 Elaboration itself (`elaborate_function`) yields an identity-free
 `ElaborationRecord`, which the build pipeline's elaborate stage keeps
-in the artifact store, one per (module content, function, FU limits).
+in the artifact store, one per (module content, function).  FU limits
+are bound per run, not elaborated: `StaticCDFG` derives the unit counts
+and the dedicated-unit ids from its own ``fu_limits``.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class StaticNode:
 
 
 #: Bump when `ElaborationRecord`'s layout or `elaborate_function`'s
-#: mapping rules change; it joins every elaboration store key.
-ELABORATION_FORMAT_VERSION = 1
+#: mapping rules change; it joins every elaboration store key.  (v2: FU
+#: limits left the record and the key; units bind them per run.)
+ELABORATION_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -72,55 +75,35 @@ class ElaborationRecord:
 
     The per-instruction tuples are in program order over
     ``func.blocks``.  The record depends only on the function's content
-    and the FU limits, so the artifact store shares one read-only record
-    between every unit whose module has the same fingerprint, however
-    many private copies of that module there are (`StaticCDFG` pairs it
-    with each caller's own instructions).
+    (FU limits are bound per run by `StaticCDFG`, and are not part of
+    its store key), so the artifact store shares one read-only record
+    between every unit whose module has the same fingerprint, under any
+    FU limits and however many private copies of that module there are
+    (`StaticCDFG` pairs it with each caller's own instructions).
     """
 
     fu_class: tuple[str, ...]
-    fu_instance: tuple[Optional[int], ...]
     result_bits: tuple[int, ...]
-    #: Instantiated units per class (after applying limits).
-    fu_counts: dict[str, int]
+    #: Static instructions per FU class, in first-use order.
     static_op_counts: dict[str, int]
     register_bits: int
 
 
-def elaborate_function(
-    func: Function, fu_limits: Optional[dict[str, int]] = None
-) -> ElaborationRecord:
-    """Map every instruction to its FU class, FU instance and register
-    width: the one place static elaboration happens."""
-    fu_limits = fu_limits or {}
+def elaborate_function(func: Function) -> ElaborationRecord:
+    """Map every instruction to its FU class and register width: the
+    one place static elaboration happens."""
     fu_class: list[str] = []
-    fu_instance: list[Optional[int]] = []
     result_bits: list[int] = []
     static_op_counts: dict[str, int] = {}
-    dedicated_counter: dict[str, int] = {}
     for inst in func.instructions():
         cls = fu_class_for(inst)
-        instance: Optional[int] = None
         if cls != FU_NONE:
             static_op_counts[cls] = static_op_counts.get(cls, 0) + 1
-            if cls not in fu_limits:
-                # Default: dedicated unit per static instruction.
-                instance = dedicated_counter.get(cls, 0)
-                dedicated_counter[cls] = instance + 1
         fu_class.append(cls)
-        fu_instance.append(instance)
         result_bits.append(inst.type.bit_width() if inst.produces_value else 0)
-    # Instantiated FU counts: limit if constrained, else 1-to-1.
-    fu_counts = {}
-    for cls, static_count in static_op_counts.items():
-        limit = fu_limits.get(cls)
-        fu_counts[cls] = (min(limit, static_count) if limit is not None
-                          else static_count)
     return ElaborationRecord(
         fu_class=tuple(fu_class),
-        fu_instance=tuple(fu_instance),
         result_bits=tuple(result_bits),
-        fu_counts=fu_counts,
         static_op_counts=static_op_counts,
         register_bits=sum(result_bits),
     )
@@ -130,10 +113,13 @@ class StaticCDFG:
     """The statically elaborated skeleton of one accelerator function.
 
     Built from an `ElaborationRecord` (computed here when none is
-    given).  The per-instruction views — ``nodes``, ``blocks`` and
-    `node_for` — are built on first use by pairing this function's own
-    instructions with the record, so they always reference the caller's
-    module.  Of the engines only the dynamic one reads them; graph
+    given) and bound to ``fu_limits``: ``fu_counts`` gives each FU class
+    its limit, capped at its static count, or one unit per static
+    instruction when unlimited.  The per-instruction views — ``nodes``,
+    ``blocks`` and `node_for` — are built on first use by pairing this
+    function's own instructions with the record, so they always
+    reference the caller's module; only they number the dedicated
+    units.  Of the engines only the dynamic one reads them; graph
     lowering reads the record itself (`checked_record`).
     """
 
@@ -146,9 +132,14 @@ class StaticCDFG:
         self.func = func
         self.fu_limits = dict(fu_limits or {})
         self.record = (record if record is not None
-                       else elaborate_function(func, self.fu_limits))
-        self.fu_counts = dict(self.record.fu_counts)
+                       else elaborate_function(func))
         self.static_op_counts = dict(self.record.static_op_counts)
+        #: Instantiated units per class (after applying limits).
+        self.fu_counts = {
+            cls: min(self.fu_limits[cls], count) if cls in self.fu_limits
+            else count
+            for cls, count in self.static_op_counts.items()
+        }
         self.register_bits = self.record.register_bits
         self._nodes: Optional[dict[Instruction, StaticNode]] = None
         self._blocks: Optional[dict[str, list[StaticNode]]] = None
@@ -179,17 +170,26 @@ class StaticCDFG:
 
     def _bind(self) -> None:
         record = self.checked_record()
+        limits = self.fu_limits
         nodes: dict[Instruction, StaticNode] = {}
         blocks: dict[str, list[StaticNode]] = {}
+        # A class without a limit gets one dedicated unit per static
+        # instruction (paper default), numbered in program order.
+        dedicated: dict[str, int] = {}
         index = 0
         for block in self.func.blocks:
             node_list: list[StaticNode] = []
             for inst in block.instructions:
+                cls = record.fu_class[index]
+                instance: Optional[int] = None
+                if cls != FU_NONE and cls not in limits:
+                    instance = dedicated.get(cls, 0)
+                    dedicated[cls] = instance + 1
                 node = StaticNode(
                     inst=inst,
                     index=index,
-                    fu_class=record.fu_class[index],
-                    fu_instance=record.fu_instance[index],
+                    fu_class=cls,
+                    fu_instance=instance,
                     result_bits=record.result_bits[index],
                 )
                 nodes[inst] = node

@@ -41,6 +41,7 @@ class ComputeUnit(SimObject):
         clock: Optional[ClockDomain] = None,
         engine: str = "graph",
         artifact_store=None,
+        trace_hub=None,
     ) -> None:
         from repro.engine import ENGINES
 
@@ -56,8 +57,11 @@ class ComputeUnit(SimObject):
         from repro.build.pipeline import BuildPipeline
 
         #: Elaborates now and lowers on the first graph launch, through
-        #: ``artifact_store`` when given: once per datapath per store.
-        self._stages = BuildPipeline(store=artifact_store)
+        #: ``artifact_store`` when given: once per function per store.
+        #: Both spans reach ``trace_hub``'s ``build`` channel: the unit
+        #: elaborates before its system has a probe attached.
+        self._stages = BuildPipeline(store=artifact_store,
+                                     trace_hub=trace_hub)
         #: The `ElaboratedDesign` from the build pipeline's elaborate stage.
         self.design = self._stages.elaborate(
             module, func_name, profile=profile, config=self.config).payload

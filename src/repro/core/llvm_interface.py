@@ -37,9 +37,10 @@ class StaticMetrics:
 class LLVMInterface:
     """Statically elaborated accelerator model.
 
-    ``record`` is the function's `ElaborationRecord` for
-    ``config.fu_limits``; without one the CDFG elaborates the function
-    itself, with the same `repro.core.cdfg.elaborate_function`.
+    ``record`` is the function's `ElaborationRecord`, which holds no FU
+    limits (the CDFG binds ``config.fu_limits``); without one the CDFG
+    elaborates the function itself, with the same
+    `repro.core.cdfg.elaborate_function`.
     """
 
     def __init__(

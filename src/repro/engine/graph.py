@@ -14,9 +14,9 @@ parallel arrays indexed by node id:
   `repro.ir.semantics` helpers the dynamic engine calls, so values (and
   therefore every downstream address and branch decision) are exactly
   identical;
-* FU class / dedicated-vs-pooled binding, pipelining, latency, and
-  energy constants resolved through the hardware profile and the device
-  config's latency overrides;
+* FU class, pipelining, latency, and energy constants resolved
+  through the hardware profile and the device config's latency
+  overrides;
 * static memory-disambiguation facts reusing `repro.analysis.memdep`
   (PR 5): each access's root pointer and constant byte offset, letting
   the scheduler skip the overlap arithmetic for provably disjoint pairs
@@ -29,16 +29,18 @@ thunk raises when the node issues, the cycle at which the dynamic
 engine raises; a trap that never issues costs nothing.
 
 `SimGraph` is read-only under a run, so one graph is shared by every
-run and sweep point of a process that shares its module, config and
-profile: the content-addressed `ArtifactStore` (kind ``"graph"``) holds
-it decoded and hands the same object to every hit.  Lowering reads the
-function's `ElaborationRecord` directly (node id = record index) and
-builds, in one pass over the instructions, the tables the scheduler
-runs on (operand templates, FU classes, issue gates, memdep facts); a
-run binds only its argument values (`SimGraph.bind`).  The tables are
-plain data and pickle with the graph for the store's disk mirror; only
-closures (the eval thunks and memory codecs) are dropped on pickling
-and rebuilt lazily.
+run and sweep point of a process that shares its module, profile and
+the datapath side of its config: the content-addressed `ArtifactStore`
+(kind ``"graph"``) holds it decoded and hands the same object to every
+hit.  Lowering reads the function's `ElaborationRecord` directly (node
+id = record index) and builds, in one pass over the instructions, the
+tables the scheduler runs on (operand templates, FU classes, memdep
+facts).  A run binds its argument values (`SimGraph.bind`) and its FU
+limits (`SimGraph.fu_binding`: which classes are pooled, pool sizes,
+issue gates), so the graph and its key are the same under every FU
+limit.  The tables are plain data and pickle with the graph for the
+store's disk mirror; closures (the eval thunks and memory codecs) and
+the per-limits bindings are dropped on pickling and rebuilt lazily.
 """
 
 from __future__ import annotations
@@ -90,8 +92,10 @@ from repro.ir.values import Argument, Constant, Instruction
 #: stored graph.  v3: the scheduler's operand templates, bindings, FU
 #: class ids and gates are built at lowering and pickle with the graph,
 #: replacing the operand descriptors.  v4: the unread per-node
-#: ``fu_class`` list left the graph; lowering reads the record's.)
-GRAPH_FORMAT_VERSION = 4
+#: ``fu_class`` list left the graph; lowering reads the record's.  v5:
+#: FU limits left the key; the per-node ``dedicated``, ``pool_limit``
+#: and ``gate`` lists left the graph for `SimGraph.fu_binding`.)
+GRAPH_FORMAT_VERSION = 5
 
 # Node kind codes (what the scheduler dispatches on, instead of
 # isinstance chains).
@@ -105,7 +109,9 @@ K_OTHER = 5  # phi and other zero-latency wiring ops
 # Issue gates: the shared resource a ready op waits on when it cannot
 # issue.  A load waits on the read queue, a store on the write queue, a
 # pooled compute op on its FU class's pool (gate ``GATE_POOL + class
-# id``).  Dedicated units and every other op have no gate (-1).
+# id``).  Dedicated units and every other op have no gate (-1).  Which
+# compute ops are pooled depends on the run's FU limits
+# (`SimGraph.fu_binding`).
 GATE_READ = 0
 GATE_WRITE = 1
 GATE_POOL = 2
@@ -329,20 +335,23 @@ class SimGraph:
       `repro.analysis.memdep.resolve_pointer`.
     * ``class_names`` / ``cls_ids`` — FU classes interned to small ints
       in node order, and each node's class id.
-    * ``gate[nid]`` — the node's issue gate (``GATE_*``, -1 for none);
-      there are ``GATE_POOL + len(class_names)`` gates.
+
+    Nothing here depends on FU limits, and the graph key leaves them
+    out: one lowering serves every FU-limit point of a sweep.  A run
+    binds its limits with `fu_binding`.
     """
 
     # Closures do not pickle: built lazily once per graph, dropped on
-    # pickling and rebuilt on first use.
+    # pickling and rebuilt on first use.  So are the per-limits
+    # bindings (``_fu_bindings``), so a stored graph holds no
+    # limit-dependent table.
     _evals: Optional[list] = None
     _codecs: Optional[tuple] = None
 
     def __init__(self, iface: LLVMInterface) -> None:
         self.func_name = iface.func.name
         func = iface.func
-        cdfg = iface.cdfg
-        record = cdfg.checked_record()
+        record = iface.cdfg.checked_record()
         profile = iface.profile
         read_pj_per_bit = profile.register.read_energy_pj_per_bit
         write_pj_per_bit = profile.register.write_energy_pj_per_bit
@@ -366,10 +375,8 @@ class SimGraph:
 
         # -- per-node kind / FU / latency / energy -----------------------
         self.kind = [K_OTHER] * n
-        self.dedicated = [False] * n
         self.pipelined = [True] * n
         self.latency = [0] * n
-        self.pool_limit = [0] * n
         self.dyn_energy = [0.0] * n
         self.read_energy = [0.0] * n   # register reads at issue (pJ)
         self.write_energy = [0.0] * n  # register write at commit (pJ)
@@ -377,7 +384,6 @@ class SimGraph:
         self.produces_value = [inst.produces_value for inst in insts]
         self.class_names: list[str] = []
         self.cls_ids = [0] * n
-        self.gate = [-1] * n
 
         # -- operands ----------------------------------------------------
         self.templates: list = [None] * n
@@ -433,7 +439,6 @@ class SimGraph:
                 is_load = isinstance(inst, Load)
                 value_type = inst.type if is_load else inst.value.type
                 self.kind[nid] = K_LOAD if is_load else K_STORE
-                self.gate[nid] = GATE_READ if is_load else GATE_WRITE
                 self.addr_index[nid] = 0 if is_load else 1
                 self.is_mem[nid] = True
                 self.mem_size[nid] = value_type.size_bytes()
@@ -452,8 +457,6 @@ class SimGraph:
                 self.kind[nid] = K_RET
             elif cls != FU_NONE:
                 self.kind[nid] = K_COMPUTE
-                if record.fu_instance[nid] is None:
-                    self.gate[nid] = GATE_POOL + ci
 
             # Operands (same shapes as RuntimeEngine._operands_for).
             if isinstance(inst, Phi):
@@ -487,10 +490,8 @@ class SimGraph:
 
             if cls != FU_NONE:
                 spec = profile.spec_for(cls)
-                self.dedicated[nid] = record.fu_instance[nid] is not None
                 self.pipelined[nid] = spec.pipelined
                 self.latency[nid] = iface.latency_for_class(cls)
-                self.pool_limit[nid] = cdfg.fu_counts.get(cls, 0)
                 self.dyn_energy[nid] = spec.dynamic_energy_pj
                 self.issue_kind[nid] = "fp" if cls.startswith("fp_") else "int"
                 bits = 0
@@ -523,6 +524,31 @@ class SimGraph:
                     per_pred[pred_bid] = ([args[arg]], ())
                 phi_binds[nid] = per_pred
         return templates, phi_binds
+
+    def fu_binding(self, cdfg) -> tuple[list, list]:
+        """``(gate, units)`` under ``cdfg``'s FU limits: each compute
+        node's pool gate (``GATE_POOL + class id`` when its class is
+        limited, so pooled; -1 for a dedicated unit and every other
+        node — loads and stores wait on ``GATE_READ``/``GATE_WRITE``)
+        and each class id's unit count (``cdfg.fu_counts``).  Built once
+        per distinct limits on the graph's classes and shared by every
+        run under them."""
+        names = self.class_names
+        limits = cdfg.fu_limits
+        key = tuple(limits.get(name) for name in names)
+        # Units on several threads may share the graph: both setdefault
+        # calls are atomic, so every run under ``key`` gets one binding.
+        bindings = self.__dict__.setdefault("_fu_bindings", {})
+        binding = bindings.get(key)
+        if binding is None:
+            pooled = [GATE_POOL + ci if name in limits else -1
+                      for ci, name in enumerate(names)]
+            gate = [pooled[ci] if k == K_COMPUTE else -1
+                    for k, ci in zip(self.kind, self.cls_ids)]
+            counts = cdfg.fu_counts
+            binding = bindings.setdefault(
+                key, (gate, [counts.get(name, 0) for name in names]))
+        return binding
 
     # ------------------------------------------------------------------
     @property
@@ -586,6 +612,7 @@ class SimGraph:
         state = dict(self.__dict__)
         state.pop("_evals", None)
         state.pop("_codecs", None)
+        state.pop("_fu_bindings", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -598,14 +625,15 @@ def graph_key(design) -> str:
 
     Covers everything lowering reads: the module text (via
     `module_fingerprint`), the kernel name, the datapath side of the
-    device config (FU limits, latency overrides, window, clock), the
-    hardware profile, and the lowering format version.  Deliberately
-    *not* the engine choice — graphs are engine-internal, and run-cache
-    keys stay engine-agnostic (byte-identical results make the engines
+    device config (latency overrides, window, clock), the hardware
+    profile, and the lowering format version.  Deliberately *not* the
+    engine choice — graphs are engine-internal, and run-cache keys stay
+    engine-agnostic (byte-identical results make the engines
     interchangeable).  Also deliberately not the memory-side config
-    fields (`repro.exec.params.CONFIG_MEMORY_FIELDS`): lowering never
-    reads them (`GraphScheduler` consults the live config at run time),
-    so every point of a memory-only sweep shares one stored graph.
+    fields (`repro.exec.params.CONFIG_MEMORY_FIELDS`) nor the FU limits:
+    lowering reads neither (`GraphScheduler` consults the live config
+    and binds the limits at run time, `SimGraph.fu_binding`), so every
+    point of a memory or FU-limit sweep shares one stored graph.
     """
     from repro.build.artifact import module_fingerprint
     from repro.exec.params import split_device_config
@@ -613,6 +641,7 @@ def graph_key(design) -> str:
     iface = design.iface if hasattr(design, "iface") else design
     profile = iface.profile
     datapath_config, _memory_config = split_device_config(iface.config)
+    del datapath_config["fu_limits"]
     payload = {
         "version": GRAPH_FORMAT_VERSION,
         "module": module_fingerprint(iface.module),

@@ -13,7 +13,7 @@ ready heap, and each op that cannot issue waits for the next cycle.
 Most refusals come from a shared resource that stays full for the rest
 of the cycle: the read queue, the write queue, or a pooled FU class at
 its limit (nothing frees a slot or a unit mid-issue).  That resource is
-the op's *gate* (`SimGraph.gate`); the gate is tested before the
+the op's *gate* (`SimGraph.fu_binding`); the gate is tested before the
 conflict scan and the FU acquire.  A refused op is *parked* behind its
 gate, in seq order, instead of going back on the heap.  Next cycle the
 gate's parked ops return to the heap one at a time: the first at the
@@ -56,7 +56,8 @@ record, and memory image byte matches `RuntimeEngine`, and a run that
 issues a trap node fails with the same `EngineError` text.  Where the
 dynamic engine consults live objects (profile specs, CDFG nodes), this
 loop reads the flat arrays and operand tables `compile_graph` built
-once per graph; a run binds only its argument values (`SimGraph.bind`).
+once per graph; a run binds only its argument values (`SimGraph.bind`)
+and its FU limits (`SimGraph.fu_binding`, built once per limits).
 Memory goes one of two ways:
 
 * **Inline model**, when the unit hands over its private SPM
@@ -286,10 +287,8 @@ class GraphScheduler:
         produces_value = g.produces_value
         blocks = g.blocks
         block_of = g.block_of
-        dedicated = g.dedicated
         pipelined = g.pipelined
         latency = g.latency
-        pool_limit = g.pool_limit
         dyn_energy = g.dyn_energy
         read_energy = g.read_energy
         write_energy = g.write_energy
@@ -345,7 +344,9 @@ class GraphScheduler:
         decoders, encoders = g.codecs
         cls_ids = g.cls_ids
         class_names = g.class_names
-        gate_of = g.gate
+        # This run's FU limits: issue gates (pooled compute ops have
+        # one) and units per class.
+        gate_of, units_arr = g.fu_binding(engine.iface.cdfg)
 
         # -- run state ---------------------------------------------------
         seq = 0
@@ -385,9 +386,7 @@ class GraphScheduler:
         # exactly the order the dynamic allocator would create them.
         ded_last_issue = [-1] * g.n_nodes   # dedicated units are 1:1 with nodes
         ded_busy_until = [-1] * g.n_nodes
-        fu_counts = engine.iface.cdfg.fu_counts
         n_cls = len(class_names)
-        units_arr = [fu_counts.get(name, 0) for name in class_names]
         pool_stamp = [-1] * n_cls
         pool_count = [0] * n_cls
         pool_inflight = [0] * n_cls
@@ -707,7 +706,7 @@ class GraphScheduler:
                     if tag == _EV_COMMIT:
                         inflight_compute -= 1
                         ci = cls_ids[nid]
-                        if not dedicated[nid] and not pipelined[nid]:
+                        if gate_of[nid] >= 0 and not pipelined[nid]:
                             pool_inflight[ci] -= 1
                         inflight_arr[ci] -= 1
                         commit(dyn, payload, cycle)
@@ -901,14 +900,14 @@ class GraphScheduler:
                             if pool_stamp[ci] != cycle:
                                 pool_stamp[ci] = cycle
                                 pool_count[ci] = 0
-                            if pool_count[ci] >= pool_limit[nid]:
+                            if pool_count[ci] >= units_arr[ci]:
                                 fu_stall(ci, park(dyn, gate, "compute", blocked))
                                 continue
                             pool_count[ci] += 1
                             if heads[gate] is dyn:
                                 advance(gate)
                         else:
-                            if pool_inflight[ci] >= pool_limit[nid]:
+                            if pool_inflight[ci] >= units_arr[ci]:
                                 fu_stall(ci, park(dyn, gate, "compute", blocked))
                                 continue
                             pool_inflight[ci] += 1

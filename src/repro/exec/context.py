@@ -218,7 +218,9 @@ class SimContext:
                 self._module = self._resolve_module()
             acc = StandaloneAccelerator(self._module, self.func_name,
                                         artifact_store=self.artifact_store,
-                                        engine=self.engine, **self.acc_kwargs)
+                                        engine=self.engine,
+                                        trace_hub=self.trace_hub,
+                                        **self.acc_kwargs)
             system = acc.system
             if self.trace_hub is not None:
                 system.attach_probe(self.trace_hub)

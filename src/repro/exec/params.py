@@ -14,8 +14,8 @@ falls on which side.  Two consumers key off these sets:
   from `split_acc_kwargs`.  Run caches (and so resumable sweeps) and
   the job server's dedup keys are all addressed by it;
 * `repro.engine.graph.graph_key` drops the memory-side `DeviceConfig`
-  fields, so every point of a memory-only sweep shares one lowered
-  graph.
+  fields and the FU limits (bound per run), so every point of a
+  memory-only or FU-limit sweep shares one lowered graph.
 
 A kwarg not in any set is treated as **datapath-side** by every
 consumer: an unknown parameter can only make keys more specific, never
@@ -61,6 +61,7 @@ EXECUTION_PARAMS = frozenset({
     "artifact_store",
     "pipeline",
     "engine",
+    "trace_hub",
 })
 
 #: `DeviceConfig` fields that shape the datapath schedule (FU pools,

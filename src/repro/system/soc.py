@@ -105,6 +105,7 @@ class StandaloneAccelerator:
         artifact_store=None,
         pipeline=None,
         engine: str = "graph",
+        trace_hub=None,
     ) -> None:
         if memory not in ("spm", "cache", "ideal"):
             raise ValueError(f"unknown memory configuration '{memory}'")
@@ -125,6 +126,7 @@ class StandaloneAccelerator:
             self.module = build_module(
                 source, func_name, pipeline=pipeline,
                 unroll_factor=unroll_factor, store=artifact_store,
+                trace_hub=trace_hub,
             ).module
         self.func_name = func_name
 
@@ -138,6 +140,7 @@ class StandaloneAccelerator:
             config=self.config,
             engine=engine,
             artifact_store=artifact_store,
+            trace_hub=trace_hub,
         )
 
         if memory in ("spm", "ideal"):

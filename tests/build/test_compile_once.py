@@ -115,8 +115,8 @@ def test_parallel_and_serial_rows_byte_identical(workload):
 
 # -- lowering once per datapath --------------------------------------------
 def _configure_datapath(params):
-    # ``fus`` shapes the datapath; ``ports`` and ``memory`` do not, so
-    # they never join the graph key.
+    # ``fus`` shapes the datapath, but each run binds its FU limits:
+    # neither they nor ``ports`` and ``memory`` join the graph key.
     return dict(
         config=DeviceConfig(read_ports=params["ports"],
                             write_ports=max(1, params["ports"] // 2),
@@ -133,23 +133,28 @@ def test_serial_sweep_lowers_once_per_datapath(workload):
                                           seed=7)
     assert len(points) == 12 and all(p.ok for p in points)
     assert {p.engine_used for p in points} == {"graph"}
-    assert STAGE_COUNTERS.graph == len(grid["fus"])
+    assert STAGE_COUNTERS.graph == 1
 
 
-def test_pool_worker_body_lowers_once_per_datapath(workload, monkeypatch):
+def _init_pool_worker(workload, monkeypatch):
+    """Install a sweep worker in this process, as a pool worker would."""
     module = build_module(workload.source, workload.func_name).module
     monkeypatch.setattr(parallel, "_worker", None)
     parallel._init_worker(parallel._SweepWorker(
         workload, [module], seed=7, verify=True, max_ticks=None, trace=None,
         watchdog=None, timeout_s=None))
     STAGE_COUNTERS.reset()
+
+
+def test_pool_worker_body_lowers_once_per_datapath(workload, monkeypatch):
+    _init_pool_worker(workload, monkeypatch)
     for fus in (2, 8):
         for memory in ("spm", "cache"):
             payload = parallel._run_in_worker(
                 0, _configure_datapath(
                     {"fus": fus, "ports": 2, "memory": memory}), None)
             assert "__failure__" not in payload
-    assert STAGE_COUNTERS.graph == 2
+    assert STAGE_COUNTERS.graph == 1
     assert STAGE_COUNTERS.compiles() == 0
 
 
@@ -159,29 +164,45 @@ ELABORATION_GRID = {"fus": [2, 8, 32], "ports": [2],
 
 
 def test_serial_sweep_elaborates_once_per_datapath(workload):
-    # Nine points, three distinct FU limits: three elaborations, each
-    # through the build pipeline's elaborate stage.
+    # Nine points, three distinct FU limits: one elaboration, through
+    # the build pipeline's elaborate stage; each unit binds its limits.
     points = ParallelSweep(workers=1).run(workload, ELABORATION_GRID,
                                           _configure_datapath, seed=7)
     assert len(points) == 9 and all(p.ok for p in points)
-    assert STAGE_COUNTERS.elaborate == len(ELABORATION_GRID["fus"])
+    assert STAGE_COUNTERS.elaborate == 1
 
 
 def test_pool_worker_body_elaborates_once_per_datapath(workload, monkeypatch):
-    module = build_module(workload.source, workload.func_name).module
-    monkeypatch.setattr(parallel, "_worker", None)
-    parallel._init_worker(parallel._SweepWorker(
-        workload, [module], seed=7, verify=True, max_ticks=None, trace=None,
-        watchdog=None, timeout_s=None))
-    STAGE_COUNTERS.reset()
+    _init_pool_worker(workload, monkeypatch)
     for fus in ELABORATION_GRID["fus"]:
         for memory in ELABORATION_GRID["memory"]:
             payload = parallel._run_in_worker(
                 0, _configure_datapath(
                     {"fus": fus, "ports": 2, "memory": memory}), None)
             assert "__failure__" not in payload
-    assert STAGE_COUNTERS.elaborate == len(ELABORATION_GRID["fus"])
-    assert STAGE_COUNTERS.graph == len(ELABORATION_GRID["fus"])
+    assert STAGE_COUNTERS.elaborate == 1
+    assert STAGE_COUNTERS.graph == 1
+
+
+#: The Fig. 13 grid's shape: memory x FU limits x ports, 27 points.
+FIG13_GRID = {"memory": ["ideal", "spm", "cache"], "fus": [2, 8, 32],
+              "ports": [1, 4, 16]}
+
+
+def test_pool_worker_body_builds_fig13_grid_once(workload, monkeypatch):
+    # All 27 points through one worker: one elaboration and one
+    # lowering, whatever the FU limits, ports and memory.
+    _init_pool_worker(workload, monkeypatch)
+    for memory in FIG13_GRID["memory"]:
+        for fus in FIG13_GRID["fus"]:
+            for ports in FIG13_GRID["ports"]:
+                payload = parallel._run_in_worker(
+                    0, _configure_datapath(
+                        {"fus": fus, "ports": ports, "memory": memory}), None)
+                assert "__failure__" not in payload
+    assert STAGE_COUNTERS.elaborate == 1
+    assert STAGE_COUNTERS.graph == 1
+    assert STAGE_COUNTERS.compiles() == 0
 
 
 def test_no_pool_submit_carries_a_module(workload, monkeypatch):

@@ -204,8 +204,9 @@ def test_fu_stall_stats_match_under_fu_limits():
 # -- tracing: the one place the engines differ ---------------------------
 def test_traced_default_run_matches_traced_dynamic_run():
     # The event queue's per-event dispatch records exist only when the
-    # event queue runs, so ``sched`` counts differ; every other channel
-    # and every stat are identical.
+    # event queue runs, so ``sched`` counts differ, and only a graph run
+    # lowers its datapath (one more ``build`` span); every other
+    # channel and every stat are identical.
     default = SimContext(get_workload("gemm_dse"), seed=7, verify=False,
                          trace=True, unroll_factor=2)
     graph = default.run()
@@ -216,6 +217,7 @@ def test_traced_default_run_matches_traced_dynamic_run():
     dynamic_counts = dynamic_dict.pop("trace_summary")["emitted"]
     assert json.dumps(graph_dict) == json.dumps(dynamic_dict)
     assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
+    assert graph_counts.pop("build") == dynamic_counts.pop("build") + 1
     assert graph_counts == dynamic_counts
 
 
@@ -229,6 +231,7 @@ def test_traced_cache_run_matches_traced_dynamic_run():
     dynamic_counts = dynamic_dict.pop("trace_summary")["emitted"]
     assert json.dumps(graph_dict) == json.dumps(dynamic_dict)
     assert 0 < graph_counts.pop("sched") < dynamic_counts.pop("sched")
+    assert graph_counts.pop("build") == dynamic_counts.pop("build") + 1
     assert graph_counts == dynamic_counts
     assert graph_counts["mem"] > 0
 

@@ -17,7 +17,7 @@ GEMM_SPM_U4 = dict(memory="spm", unroll_factor=4)
 
 RUN_KEY = "3a515ff1fa05a9295865b91a679d24b21d259c40ed5723e8af78400742111855"
 GRAPH_KEY = ("graph:"
-             "1b39f4425c2d92b74e0711d55153c2c7c29bc2e1969afa6714e5fa170d8e06f3")
+             "552e0b35aec25de3cce390f36bc836589efba91bc0efe328f8185b56e84c405d")
 
 
 def test_run_cache_key_value_is_pinned():
@@ -27,7 +27,7 @@ def test_run_cache_key_value_is_pinned():
 
 
 def test_graph_key_value_is_pinned():
-    assert GRAPH_FORMAT_VERSION == 4
+    assert GRAPH_FORMAT_VERSION == 5
     ctx = SimContext(get_workload("gemm"), seed=7, verify=False,
                      **GEMM_SPM_U4)
     design = ElaboratedDesign(ctx.build().unit.iface)

@@ -91,9 +91,11 @@ def test_context_reset_detaches_hub(workload):
     assert ctx.trace_hub is not first
     # The first run compiled the kernel (parse/lower/optimize land on
     # the 'build' channel); the reset run reuses the module, so every
-    # *simulation* channel matches exactly and 'build' goes quiet.
+    # *simulation* channel matches exactly and 'build' shows only the
+    # new unit's elaboration and lowering (the context has no store).
     assert first.emitted["build"] > 0
-    assert ctx.trace_hub.emitted["build"] == 0
+    assert [e.kind for e in ctx.trace_hub.events("build")] == [
+        "elaborate", "graph"]
     for channel, count in first.emitted.items():
         if channel != "build":
             assert ctx.trace_hub.emitted[channel] == count
@@ -177,6 +179,27 @@ def test_cli_run_trace_out(tmp_path, capsys):
     assert doc["traceEvents"]
     assert all("ph" in e and "ts" in e and "pid" in e
                for e in doc["traceEvents"])
+
+
+def _build_events(argv, out):
+    from repro.cli import main
+
+    assert main(argv + ["--trace", "build", "--trace-out", str(out)]) == 0
+    return [e["name"] for e in json.loads(out.read_text())["traceEvents"]
+            if e.get("cat") == "build"]
+
+
+def test_cli_run_build_trace_covers_elaborate_and_graph(tmp_path):
+    # The unit elaborates and lowers through its own build pipeline:
+    # both spans reach the run's hub, once each, after the compile's.
+    argv = ["run", "gemm_dse", "--ports", "4", "--unroll", "2"]
+    names = _build_events(argv, tmp_path / "build.json")
+    assert names[:2] == ["parse", "lower"]
+    assert names[-3:] == ["optimize", "elaborate", "graph"]
+    # With a warm store nothing is built, so no build span is emitted.
+    store = ["--artifact-dir", str(tmp_path / "art")]
+    assert names == _build_events(argv + store, tmp_path / "cold.json")
+    assert _build_events(argv + store, tmp_path / "warm.json") == []
 
 
 def test_cli_run_trace_cache_hit_warns(tmp_path, capsys):
