@@ -42,12 +42,13 @@ class DominatorTree:
     itself and is dominated only by itself.
     """
 
-    def __init__(self, func: Function) -> None:
+    def __init__(self, func: Function, preds: Optional[dict] = None) -> None:
+        """``preds`` is ``func.predecessor_map()``, if the caller has it."""
         self.func = func
         self.rpo: list[BasicBlock] = []
         self.idom: dict[BasicBlock, Optional[BasicBlock]] = {}
         self._order: dict[BasicBlock, int] = {}
-        self._preds = func.predecessor_map()
+        self._preds = func.predecessor_map() if preds is None else preds
         self._compute()
         self._number()
 

@@ -242,8 +242,10 @@ class Branch(Instruction):
         return self.operands[0] if self.is_conditional else None
 
     def targets(self) -> list["BasicBlock"]:
-        refs = self.operands[1:] if self.is_conditional else self.operands
-        return [ref.block for ref in refs]
+        refs = self.operands
+        if len(refs) == 1:
+            return [refs[0].block]
+        return [refs[1].block, refs[2].block]
 
     @property
     def true_target(self) -> "BasicBlock":

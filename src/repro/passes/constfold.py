@@ -27,6 +27,75 @@ from repro.ir.values import Constant, Instruction, Value
 from repro.passes.pass_manager import FunctionPass
 
 
+def fold_instruction(inst: Instruction,
+                     operands: Optional[list[Value]] = None) -> Optional[Value]:
+    """The value ``inst`` folds to, or None if it does not fold.
+
+    The one folding rule of the compiler: `ConstantFold` applies it in
+    place, and `LoopUnroll` applies it to each instruction it is about
+    to clone, passing the clone's remapped ``operands`` instead of the
+    original's (for a phi, its incoming values in order).
+    """
+    ops = inst.operands if operands is None else operands
+    try:
+        if isinstance(inst, BinaryOp):
+            return _fold_binop(inst, ops[0], ops[1])
+        if isinstance(inst, ICmp):
+            a, b = ops
+            if isinstance(a, Constant) and isinstance(b, Constant):
+                return Constant(I1, eval_icmp(inst.pred, a.type, a.value, b.value))
+        if isinstance(inst, FCmp):
+            a, b = ops
+            if isinstance(a, Constant) and isinstance(b, Constant):
+                return Constant(I1, eval_fcmp(inst.pred, a.value, b.value))
+        if isinstance(inst, Cast):
+            src = ops[0]
+            if isinstance(src, Constant):
+                return Constant(
+                    inst.type, eval_cast(inst.opcode, src.type, inst.type, src.value)
+                )
+        if isinstance(inst, Select):
+            cond, tv, fv = ops
+            if isinstance(cond, Constant):
+                return tv if cond.value else fv
+        if isinstance(inst, Phi) and ops:
+            first = ops[0]
+            if all(v is first for v in ops[1:]) or (
+                isinstance(first, Constant) and all(v == first for v in ops)
+            ):
+                if first is not inst:
+                    return first
+    except EvalError:
+        return None
+    return None
+
+
+def _fold_binop(inst: BinaryOp, a: Value, b: Value) -> Optional[Value]:
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        return Constant(inst.type, eval_binop(inst.opcode, inst.type, a.value, b.value))
+    # Identities (integer only: FP identities are unsafe under NaN/-0).
+    if inst.type.is_int:
+        if inst.opcode in ("add", "or", "xor", "sub", "shl", "lshr", "ashr"):
+            if isinstance(b, Constant) and b.value == 0:
+                return a
+            if (
+                inst.opcode in ("add", "or", "xor")
+                and isinstance(a, Constant)
+                and a.value == 0
+            ):
+                return b
+        if inst.opcode == "mul":
+            for x, y in ((a, b), (b, a)):
+                if isinstance(x, Constant):
+                    if x.value == 1:
+                        return y
+                    if x.value == 0:
+                        return Constant(inst.type, 0)
+        if inst.opcode in ("sdiv", "udiv") and isinstance(b, Constant) and b.value == 1:
+            return a
+    return None
+
+
 class ConstantFold(FunctionPass):
     name = "constfold"
 
@@ -50,7 +119,7 @@ class ConstantFold(FunctionPass):
                     for operand in list(inst.operands):
                         if isinstance(operand, Instruction) and operand in replacements:
                             inst.replace_operand(operand, resolve(operand))
-                    replacement = self._fold(inst)
+                    replacement = fold_instruction(inst)
                     if replacement is None:
                         continue
                     replacements[inst] = replacement
@@ -68,74 +137,6 @@ class ConstantFold(FunctionPass):
                 return changed_any
 
     # ------------------------------------------------------------------
-    def _fold(self, inst: Instruction) -> Optional[Value]:
-        try:
-            if isinstance(inst, BinaryOp):
-                return self._fold_binop(inst)
-            if isinstance(inst, ICmp):
-                a, b = inst.operands
-                if isinstance(a, Constant) and isinstance(b, Constant):
-                    return Constant(I1, eval_icmp(inst.pred, a.type, a.value, b.value))
-            if isinstance(inst, FCmp):
-                a, b = inst.operands
-                if isinstance(a, Constant) and isinstance(b, Constant):
-                    return Constant(I1, eval_fcmp(inst.pred, a.value, b.value))
-            if isinstance(inst, Cast):
-                src = inst.src
-                if isinstance(src, Constant):
-                    return Constant(
-                        inst.type, eval_cast(inst.opcode, src.type, inst.type, src.value)
-                    )
-            if isinstance(inst, Select):
-                cond, tv, fv = inst.operands
-                if isinstance(cond, Constant):
-                    return tv if cond.value else fv
-            if isinstance(inst, Phi) and inst.incoming:
-                values = [v for v, __ in inst.incoming]
-                first = values[0]
-                if all(v is first for v in values[1:]) or (
-                    isinstance(first, Constant) and all(v == first for v in values)
-                ):
-                    if first is not inst:
-                        return first
-        except EvalError:
-            return None
-        return None
-
-    def _fold_binop(self, inst: BinaryOp) -> Optional[Value]:
-        a, b = inst.lhs, inst.rhs
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(inst.type, eval_binop(inst.opcode, inst.type, a.value, b.value))
-        # Identities (integer only: FP identities are unsafe under NaN/-0).
-        if inst.type.is_int:
-            if inst.opcode in ("add", "or", "xor", "sub", "shl", "lshr", "ashr"):
-                if isinstance(b, Constant) and b.value == 0:
-                    return a
-                if (
-                    inst.opcode in ("add", "or", "xor")
-                    and isinstance(a, Constant)
-                    and a.value == 0
-                ):
-                    return b
-            if inst.opcode == "mul":
-                for x, y in ((a, b), (b, a)):
-                    if isinstance(x, Constant):
-                        if x.value == 1:
-                            return y
-                        if x.value == 0:
-                            return Constant(inst.type, 0)
-            if inst.opcode in ("sdiv", "udiv") and isinstance(b, Constant) and b.value == 1:
-                return a
-        return None
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _replace_all_uses(func: Function, old: Instruction, new: Value) -> None:
-        for block in func.blocks:
-            for inst in block.instructions:
-                if inst is not old:
-                    inst.replace_operand(old, new)
-
     @staticmethod
     def _fold_branches(func: Function) -> bool:
         changed = False

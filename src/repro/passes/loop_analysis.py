@@ -46,7 +46,14 @@ class Loop:
     @property
     def is_canonical(self) -> bool:
         """Single latch that is also the sole exiting block, with an IV."""
-        return self.induction is not None and self.exits_from_latch
+        if self.induction is None or not self.exits_from_latch:
+            return False
+        inside = set(map(id, self.blocks))
+        return all(
+            id(succ) in inside
+            for block in self.blocks if block is not self.latch
+            for succ in block.successors()
+        )
 
     @property
     def exits_from_latch(self) -> bool:

@@ -6,9 +6,11 @@ from repro.build.pipeline import build_module
 from repro.frontend import compile_c
 from repro.ir.builder import IRBuilder
 from repro.ir.dominance import DominatorTree
-from repro.ir.module import Function
+from repro.ir.instructions import Branch
+from repro.ir.module import BasicBlock, Function
 from repro.ir.types import I1, I32
 from repro.ir.values import Constant
+from repro.ir.verifier import verify_function
 from repro.workloads import get_workload
 
 
@@ -200,14 +202,43 @@ def test_small_trees_match_idom_walk(fixture):
     _assert_matches_idom_walk(fixture()[0])
 
 
+def _split_blocks(func, size):
+    """Cut every block into a chain of blocks of at most ``size``
+    non-phi instructions."""
+    blocks = []
+    for block in func.blocks:
+        phis = block.phis()
+        rest = block.instructions[len(phis):]
+        pieces = [rest[i:i + size] for i in range(0, len(rest), size)]
+        block.instructions = phis + pieces[0]
+        blocks.append(block)
+        tail = block
+        for n, piece in enumerate(pieces[1:]):
+            link = BasicBlock(f"{block.name}.split{n}", func)
+            link.instructions = piece
+            for inst in piece:
+                inst.parent = link
+            tail.append(Branch(link))
+            blocks.append(link)
+            tail = link
+        for succ in tail.successors():
+            for phi in succ.phis():
+                phi.incoming = [(v, tail if p is block else p)
+                                for v, p in phi.incoming]
+    func.blocks = blocks
+
+
 @pytest.mark.parametrize("name", ["gemm_dse", "md_grid"])
 def test_unrolled_kernels_match_idom_walk(name):
-    # Stop right after unrolling, before simplifycfg merges the copies:
-    # gemm_dse u8 is then a 1,242-block idom chain.
+    # Unrolling fuses the straight-line copies it makes, so cut its
+    # result into 3-instruction blocks: gemm_dse u8 is then a
+    # 1,075-block idom chain.
     workload = get_workload(name)
     module = build_module(workload.source, workload.func_name,
                           pipeline="inline,mem2reg,constfold,dce,unroll:8"
                           ).module
     func = module.get_function(workload.func_name)
+    _split_blocks(func, 3)
+    verify_function(func)
     assert len(func.blocks) > 50
     _assert_matches_idom_walk(func)
