@@ -94,8 +94,10 @@ from repro.ir.values import Argument, Constant, Instruction
 #: replacing the operand descriptors.  v4: the unread per-node
 #: ``fu_class`` list left the graph; lowering reads the record's.  v5:
 #: FU limits left the key; the per-node ``dedicated``, ``pool_limit``
-#: and ``gate`` lists left the graph for `SimGraph.fu_binding`.)
-GRAPH_FORMAT_VERSION = 5
+#: and ``gate`` lists left the graph for `SimGraph.fu_binding`.  v6:
+#: the key holds only the latency overrides of the config: ``name``,
+#: ``reservation_window`` and the clock left it, lowering reads none.)
+GRAPH_FORMAT_VERSION = 6
 
 # Node kind codes (what the scheduler dispatches on, instead of
 # isinstance chains).
@@ -624,29 +626,27 @@ def graph_key(design) -> str:
     """Content address for a compiled graph.
 
     Covers everything lowering reads: the module text (via
-    `module_fingerprint`), the kernel name, the datapath side of the
-    device config (latency overrides, window, clock), the hardware
-    profile, and the lowering format version.  Deliberately *not* the
-    engine choice — graphs are engine-internal, and run-cache keys stay
-    engine-agnostic (byte-identical results make the engines
-    interchangeable).  Also deliberately not the memory-side config
-    fields (`repro.exec.params.CONFIG_MEMORY_FIELDS`) nor the FU limits:
-    lowering reads neither (`GraphScheduler` consults the live config
-    and binds the limits at run time, `SimGraph.fu_binding`), so every
-    point of a memory or FU-limit sweep shares one stored graph.
+    `module_fingerprint`), the kernel name, the device config's latency
+    overrides (`LLVMInterface.latency_for_class`), the hardware profile
+    (clock included), and the lowering format version.  Deliberately
+    *not* the engine choice — graphs are engine-internal, and run-cache
+    keys stay engine-agnostic (byte-identical results make the engines
+    interchangeable).  Also deliberately not any other config field:
+    the memory side, the FU limits, the reservation window and the
+    config's name are read by the scheduler from the live config (the
+    limits bound at run time, `SimGraph.fu_binding`), so every point of
+    a sweep over them shares one stored graph.  A config field lowering
+    starts to read must join this payload, with a version bump.
     """
     from repro.build.artifact import module_fingerprint
-    from repro.exec.params import split_device_config
 
     iface = design.iface if hasattr(design, "iface") else design
     profile = iface.profile
-    datapath_config, _memory_config = split_device_config(iface.config)
-    del datapath_config["fu_limits"]
     payload = {
         "version": GRAPH_FORMAT_VERSION,
         "module": module_fingerprint(iface.module),
         "func": iface.func.name,
-        "config": datapath_config,
+        "latency_overrides": iface.config.latency_overrides,
         "profile": {
             "name": profile.name,
             "units": {name: asdict(spec) for name, spec in sorted(profile.units.items())},

@@ -13,9 +13,10 @@ falls on which side.  Two consumers key off these sets:
   ``(datapath_key, memory_key)`` pair that `split_cache_key` builds
   from `split_acc_kwargs`.  Run caches (and so resumable sweeps) and
   the job server's dedup keys are all addressed by it;
-* `repro.engine.graph.graph_key` drops the memory-side `DeviceConfig`
-  fields and the FU limits (bound per run), so every point of a
-  memory-only or FU-limit sweep shares one lowered graph.
+* `repro.engine.graph.graph_key` keys only the `DeviceConfig` field
+  lowering reads, the latency overrides, so every point of a sweep over
+  memory knobs, FU limits (bound per run) or the reservation window
+  shares one lowered graph.
 
 A kwarg not in any set is treated as **datapath-side** by every
 consumer: an unknown parameter can only make keys more specific, never
@@ -133,8 +134,9 @@ def split_device_config(config) -> tuple[dict, dict]:
 
     Returns ``(datapath_fields, memory_fields)`` as plain dicts.  An
     unknown field (a future knob added to `DeviceConfig` but not to the
-    field sets above) lands on the datapath side, so it joins
-    `graph_key` rather than being silently ignored by it.
+    field sets above) lands on the datapath side, so it joins the
+    datapath half of the run-cache key rather than being silently
+    ignored by it.
     """
     payload = config if isinstance(config, dict) else config.to_dict()
     datapath: dict = {}

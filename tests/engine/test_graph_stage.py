@@ -14,6 +14,7 @@ import pytest
 from repro.build.artifact import ARTIFACT_KINDS, ElaboratedDesign
 from repro.build.pipeline import STAGE_COUNTERS, BuildPipeline
 from repro.build.store import ArtifactStore
+from repro.core.config import DeviceConfig
 from repro.engine import GRAPH_FORMAT_VERSION, compile_graph, graph_key
 from repro.exec.context import SimContext
 from repro.system.soc import StandaloneAccelerator
@@ -56,6 +57,26 @@ def test_graph_stage_hits_the_artifact_store():
 
 def test_graph_key_tracks_the_lowered_module():
     assert graph_key(_design(unroll=1)) != graph_key(_design(unroll=4))
+
+
+def test_reservation_window_shares_one_lowering():
+    # Lowering never reads the window (the scheduler does), so the two
+    # windows share one stored graph and still run as fresh lowerings do.
+    workload = get_workload("gemm_dse")
+    module = workload.build(unroll_factor=2).module
+
+    def run(window, store=None):
+        ctx = SimContext(workload, seed=7, verify=False, module=module,
+                         artifact_store=store,
+                         config=DeviceConfig(reservation_window=window))
+        return json.dumps(ctx.run().to_dict(), sort_keys=True)
+
+    fresh = {window: run(window) for window in (64, 128)}
+    store = ArtifactStore()
+    lowered_before = STAGE_COUNTERS.graph
+    shared = {window: run(window, store) for window in (64, 128)}
+    assert STAGE_COUNTERS.graph == lowered_before + 1
+    assert shared == fresh
 
 
 def test_sim_graph_pickles_and_rebuilds_evals():

@@ -17,7 +17,7 @@ GEMM_SPM_U4 = dict(memory="spm", unroll_factor=4)
 
 RUN_KEY = "3a515ff1fa05a9295865b91a679d24b21d259c40ed5723e8af78400742111855"
 GRAPH_KEY = ("graph:"
-             "552e0b35aec25de3cce390f36bc836589efba91bc0efe328f8185b56e84c405d")
+             "7082cd2508ed8292c22ed83be5543879fc3fc07c0e5b821aad795930499e38a8")
 
 
 def test_run_cache_key_value_is_pinned():
@@ -27,7 +27,7 @@ def test_run_cache_key_value_is_pinned():
 
 
 def test_graph_key_value_is_pinned():
-    assert GRAPH_FORMAT_VERSION == 5
+    assert GRAPH_FORMAT_VERSION == 6
     ctx = SimContext(get_workload("gemm"), seed=7, verify=False,
                      **GEMM_SPM_U4)
     design = ElaboratedDesign(ctx.build().unit.iface)
