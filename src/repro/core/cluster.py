@@ -97,6 +97,9 @@ class AcceleratorCluster(SimObject):
             mmr_base=self._alloc_mmr_range(),
             clock=None,
             engine=self.engine,
+            # The unit elaborates now and lowers at its first launch;
+            # both spans reach whatever already observes the system.
+            trace_hub=self.system.probe,
         )
         # MMRs are reachable from the cluster (and beyond) for control.
         self.local_xbar.attach_slave(unit.comm.mmr.pio, unit.comm.mmr.range, label=f"{name}.mmr")

@@ -101,6 +101,11 @@ class System:
         obj._probe = self._probe
 
     # -- instrumentation ------------------------------------------------------
+    @property
+    def probe(self) -> Optional[Probe]:
+        """What observes this system: None, its one observer, or a fanout."""
+        return self._probe
+
     def attach_probe(self, observer: Probe) -> Probe:
         """Put ``observer`` on every object's bus, including objects
         registered later; one recording ``sched`` also sees every fired

@@ -156,6 +156,19 @@ def test_cnn_scenario_chrome_trace(tmp_path):
     assert {"conv.engine", "relu.engine", "pool.engine"} <= meta
 
 
+def test_cnn_scenario_units_emit_their_build_spans():
+    # Cluster units build no store entries: each elaborates and lowers
+    # once, on the hub the platform attached before adding them.
+    from repro.system.cnn_scenarios import run_private_spm
+
+    hub = TraceConfig(channels="build,compute").make_hub()
+    assert run_private_spm(seed=7, trace_hub=hub).verified
+    spans = sorted((e.kind, e.args["func_name"]) for e in hub.events("build"))
+    assert spans == [("elaborate", "conv2d"), ("elaborate", "maxpool"),
+                     ("elaborate", "relu"), ("graph", "conv2d"),
+                     ("graph", "maxpool"), ("graph", "relu")]
+
+
 def test_cnn_tracing_leaves_timing_unchanged():
     from repro.system.cnn_scenarios import run_private_spm
 
