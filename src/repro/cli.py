@@ -764,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="higher runs earlier")
     p_submit.add_argument("--no-wait", action="store_true",
                           help="print the job id and return without "
-                               "polling for the result")
+                               "waiting for the result")
     p_submit.add_argument("--events", action="store_true",
                           help="stream the job's progress events (SSE) "
                                "while it runs")

@@ -110,11 +110,15 @@ def run_cache_key(source, func_name: str, *, seed: int = 7, pipeline=None,
 class RunCache(DurableStore):
     """Key -> `RunResult` store with hit/miss accounting.
 
-    Results are held as their `to_dict` payloads and rehydrated on every
-    `get`, so callers can never mutate a cached entry in place.  With a
-    ``path`` the payloads are also written as ``<key>.json`` files (JSON
-    with sorted keys) and found again by later processes; a file that
-    does not hold a JSON object is quarantined as ``<key>.json.corrupt``.
+    Results are held as their `to_dict` payloads.  `get` rehydrates a
+    `RunResult` on every hit; `payload` hands out the held payload
+    itself, counted the same way, for a reader that only needs the
+    JSON form (the job server gives one payload to every job of a
+    run key), and `put` returns the payload it holds.  Nobody may
+    mutate a payload they were handed.  With a ``path`` the payloads
+    are also written as ``<key>.json`` files (JSON with sorted keys)
+    and found again by later processes; a file that does not hold a
+    JSON object is quarantined as ``<key>.json.corrupt``.
     """
 
     SUFFIX = ".json"
@@ -126,11 +130,16 @@ class RunCache(DurableStore):
             return None
         return payload if isinstance(payload, dict) else None
 
+    def payload(self, key: str) -> Optional[dict]:
+        """The held payload under ``key`` (shared, read-only), or None."""
+        return self._lookup(key)
+
     def get(self, key: str) -> Optional[RunResult]:
-        payload = self._lookup(key)
+        payload = self.payload(key)
         return None if payload is None else RunResult.from_dict(payload)
 
-    def put(self, key: str, result: RunResult) -> None:
+    def put(self, key: str, result: RunResult) -> dict:
         payload = result.to_dict()
         self._put(key, payload,
                   lambda: json.dumps(payload, sort_keys=True).encode())
+        return payload

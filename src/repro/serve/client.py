@@ -1,10 +1,10 @@
 """`ServeClient`: the thin stdlib HTTP client for a running `JobServer`.
 
 Used by ``repro submit``, the test suite, and the serve benchmark.
-One method per endpoint, plus `wait()` (poll a job to a terminal
-state) and `events()` (iterate the SSE progress stream as dicts,
-transparently reconnecting after a dropped connection and resuming
-from the last seen ``seq`` via the ``Last-Event-ID`` header).
+One method per endpoint, plus `wait()` (follow a job's SSE stream to
+a terminal state) and `events()` (iterate the SSE progress stream as
+dicts, transparently reconnecting after a dropped connection and
+resuming from the last seen ``seq`` via the ``Last-Event-ID`` header).
 """
 
 from __future__ import annotations
@@ -88,24 +88,38 @@ class ServeClient:
         return self._request("POST", f"/v1/shutdown?mode={mode}")
 
     # -- conveniences --------------------------------------------------
-    def wait(self, job_id: str, timeout: float = 120.0,
-             poll_s: float = 0.05) -> dict:
-        """Poll until the job reaches a terminal state; returns it."""
+    def wait(self, job_id: str, timeout: float = 120.0) -> dict:
+        """Follow the job's SSE stream until it reaches a terminal
+        state; returns the job."""
         deadline = time.monotonic() + timeout
+        last_seq: Optional[int] = None
         while True:
+            remaining = deadline - time.monotonic()
+            if remaining > 0:
+                try:
+                    # The server ends the stream once the job is
+                    # terminal; a drop or a timeout is settled below.
+                    for event in self._event_stream(job_id, last_seq,
+                                                    timeout=remaining):
+                        last_seq = event["seq"]
+                        if time.monotonic() >= deadline:
+                            break
+                except (http.client.HTTPException, OSError):
+                    pass
             job = self.job(job_id)
             if job["state"] not in JobState.ACTIVE:
                 return job
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job['state']} after {timeout}s")
-            time.sleep(poll_s)
 
-    def _event_stream(self, job_id: str,
-                      last_seq: Optional[int] = None) -> Iterator[dict]:
-        """One SSE connection, yielding events after ``last_seq``."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+    def _event_stream(self, job_id: str, last_seq: Optional[int] = None,
+                      timeout: Optional[float] = None) -> Iterator[dict]:
+        """One SSE connection, yielding events after ``last_seq``;
+        ``timeout`` (default: the client's) bounds each socket wait."""
+        conn = http.client.HTTPConnection(
+            self.host, self.port,
+            timeout=self.timeout if timeout is None else timeout)
         try:
             headers = {}
             if last_seq is not None:

@@ -16,11 +16,17 @@ the primary resolves.  Twenty identical submissions cost one
 simulation.
 
 The queue is deliberately lock-free: every mutation happens on the
-server's event loop (workers hand results back via
-``call_soon_threadsafe``), and the unit tests drive it synchronously.
-With a `repro.serve.journal.JobJournal` attached, every mutation is
-also written to the append-only journal, which is what lets a
-restarted server pick the queue back up (see ``adopt``).
+server's event loop (executor threads only append progress events),
+and the unit tests drive it synchronously.  With a
+`repro.serve.journal.JobJournal` attached, every mutation is also
+written to the append-only journal, which is what lets a restarted
+server pick the queue back up (see ``adopt``).
+
+Nothing in the server polls.  Every event a job publishes goes through
+the queue's one `Job.sink`, which journals it and then sets two kinds
+of `Wakeup`: those of the SSE streams (and a drain) registered on the
+job, and — for an event after which a job may be claimable — the
+worker pool's.
 
 `CircuitBreaker` is the queue's fail-fast policy: after K consecutive
 failures of one dedup key the key is *open* — identical submissions
@@ -31,8 +37,10 @@ through.
 
 from __future__ import annotations
 
+import asyncio
 import heapq
 import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -56,6 +64,50 @@ class JobState:
 
 #: Job kinds the worker pool knows how to execute.
 JOB_KINDS = ("compile", "run", "sweep", "analyze")
+
+#: Events after which a job may be claimable: submit, requeue, adopt and
+#: promote publish one each.  ``resume`` publishes nothing and wakes the
+#: pool itself.
+CLAIMABLE_EVENTS = frozenset({"queued", "retrying", "recovered", "promoted"})
+
+
+class Wakeup:
+    """A level-triggered wakeup for asyncio waiters, settable from any
+    thread.
+
+    Made on the event loop.  `set` on the loop thread sets the
+    underlying `asyncio.Event` at once; from another thread (a job body
+    publishing progress in an executor) it hops over with
+    ``loop.call_soon_threadsafe``.  ``set(at=t)`` sets it at wall time
+    ``t`` instead: a retry's ``not_before_s``.
+    """
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._thread = threading.get_ident()
+        self._event = asyncio.Event()
+
+    def set(self, at: Optional[float] = None) -> None:
+        if threading.get_ident() != self._thread:
+            try:
+                self._loop.call_soon_threadsafe(self.set, at)
+            except RuntimeError:
+                pass  # the loop has closed: nobody is waiting any more
+            return
+        delay = at - time.time() if at is not None else 0.0
+        if delay > 0:
+            # Re-checked when the timer fires: the loop's clock is not
+            # the wall clock that ``claim`` compares against.
+            self._loop.call_later(delay, self.set, at)
+        else:
+            self._event.set()
+
+    async def wait(self) -> None:
+        """Return once set, cleared for the next wait.  A waiter
+        re-reads what it waits on after this returns, so a `set` that
+        lands between its last read and this wait is never lost."""
+        await self._event.wait()
+        self._event.clear()
 
 
 @dataclass
@@ -85,15 +137,19 @@ class Job:
     not_before_s: Optional[float] = None
     #: Ordered progress log: [{"seq": n, "t": ..., "event": ..., ...}].
     events: list = field(default_factory=list)
-    #: Optional journal hook called with ``(job, event)`` per publish.
+    #: Hook called with ``(job, event)`` per publish; the queue's
+    #: `JobQueue._sink` journals the event and wakes its waiters.
     sink: Optional[Callable] = field(default=None, repr=False, compare=False)
+    #: `Wakeup`s of the SSE streams (and a drain) following this job.
+    waiters: set = field(default_factory=set, repr=False, compare=False)
 
     @property
     def terminal(self) -> bool:
         return self.state not in JobState.ACTIVE
 
     def publish(self, event: str, **detail) -> None:
-        """Append one progress event (thread-safe: a bare list append)."""
+        """Append one progress event (thread-safe: a bare list append),
+        then hand it to the sink."""
         record = {
             "seq": len(self.events),
             "t": round(time.time(), 6),
@@ -181,7 +237,10 @@ class JobQueue:
     both an operational drain switch and what makes cancellation/dedup
     deterministically testable.  ``requeue()`` puts a failed job back
     with a backoff gate (per-job retry policy), and ``adopt()`` inserts
-    a job recovered from the journal after a restart.
+    a job recovered from the journal after a restart.  ``work`` is the
+    worker pool's `Wakeup` (None while no pool runs): set whenever a
+    job may have become claimable, at a retry's ``not_before_s`` for a
+    job in backoff.
     """
 
     def __init__(self, journal=None) -> None:
@@ -194,6 +253,7 @@ class JobQueue:
         #: primary id -> follower ids awaiting its outcome.
         self._followers: dict[str, list[str]] = {}
         self.paused = False
+        self.work: Optional[Wakeup] = None
         self.dedup_hits = 0
         self.executed = 0
         self.cancelled = 0
@@ -210,7 +270,7 @@ class JobQueue:
             # Submit record first, then the event sink: replay must see
             # the job before any of its events.
             self.journal.record_submit(job)
-            job.sink = self.journal.record_event_sink
+        job.sink = self._sink
         job.publish("queued")
         primary_id = (self._active_by_key.get(dedup_key)
                       if dedup_key is not None else None)
@@ -335,8 +395,7 @@ class JobQueue:
         re-coalesce: first adopted becomes primary, the rest followers.
         """
         self.jobs[job.id] = job
-        if self.journal is not None:
-            job.sink = self.journal.record_event_sink
+        job.sink = self._sink
         if job.terminal:
             return False
         was = job.state
@@ -406,6 +465,20 @@ class JobQueue:
         return job
 
     # -- internals -----------------------------------------------------
+    def _sink(self, job: Job, record: dict) -> None:
+        """`Job.sink` of every job in the queue: journal the event, then
+        wake the job's waiters and, if the job may now be claimable,
+        the pool.  Runs on the publishing thread; claimable events are
+        all published on the loop."""
+        if self.journal is not None:
+            self.journal.record_event_sink(job, record)
+        # tuple() copies in one step, so a waiter the loop registers
+        # meanwhile cannot break the iteration.
+        for waiter in tuple(job.waiters):
+            waiter.set()
+        if self.work is not None and record["event"] in CLAIMABLE_EVENTS:
+            self.work.set(at=job.not_before_s)
+
     def _journal_state(self, job: Job, via: Optional[str] = None) -> None:
         if self.journal is not None:
             self.journal.record_state(job, via=via)
@@ -456,6 +529,8 @@ class JobQueue:
 
     def resume(self) -> None:
         self.paused = False
+        if self.work is not None:
+            self.work.set()
 
     def running(self) -> list[Job]:
         """Primaries currently executing (what a drain waits on)."""

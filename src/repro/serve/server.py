@@ -40,6 +40,7 @@ graceful drain as ``POST /v1/shutdown?mode=drain``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import re
 import threading
@@ -55,6 +56,7 @@ from repro.serve.jobs import (
     CircuitBreaker,
     JobQueue,
     JobState,
+    Wakeup,
 )
 from repro.serve.journal import JobJournal, recover_queue
 from repro.serve.workers import (
@@ -65,12 +67,6 @@ from repro.serve.workers import (
 )
 
 _JOB_PATH = re.compile(r"^/v1/jobs/([a-z0-9]+)(/events)?$")
-
-#: How often the SSE stream checks a job's event log for news.
-_SSE_POLL_S = 0.05
-
-#: How often a drain re-checks whether running jobs have finished.
-_DRAIN_POLL_S = 0.05
 
 
 class HttpError(Exception):
@@ -128,6 +124,8 @@ class JobServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self._drain_task: Optional[asyncio.Task] = None
+        #: Connection tasks serving an SSE stream, ended by `stop`.
+        self._streams: set = set()
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> int:
@@ -143,11 +141,20 @@ class JobServer:
         await self.stop()
 
     async def stop(self) -> None:
+        if self._server is not None:
+            self._server.close()  # no new connections, so no new streams
+        # A stream of a job that will not finish now would otherwise
+        # outlive the server; so would a drain cut short.
+        ending = list(self._streams)
+        if self._drain_task is not None:
+            ending.append(self._drain_task)
+        for task in ending:
+            task.cancel()
+        await asyncio.gather(*ending, return_exceptions=True)
         await self.pool.stop()
         if self.journal is not None:
             self.journal.close()
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
 
     def begin_drain(self) -> None:
@@ -162,9 +169,27 @@ class JobServer:
         self._drain_task = asyncio.get_event_loop().create_task(self._drain())
 
     async def _drain(self) -> None:
+        """Wait for the running jobs to resolve, or the drain timeout."""
         deadline = time.monotonic() + self.drain_timeout
-        while self.queue.running() and time.monotonic() < deadline:
-            await asyncio.sleep(_DRAIN_POLL_S)
+        waiter = Wakeup()
+        watched: dict = {}
+        try:
+            while running := self.queue.running():
+                # Re-read each time: a resume during the drain may have
+                # started more jobs.
+                for job in running:
+                    job.waiters.add(waiter)
+                    watched[job.id] = job
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                try:
+                    await asyncio.wait_for(waiter.wait(), remaining)
+                except asyncio.TimeoutError:
+                    break
+        finally:
+            for job in watched.values():
+                job.waiters.discard(waiter)
         if self.journal is not None:
             # Final snapshot: recovery after a clean drain is O(1).
             self.journal.compact(self.queue)
@@ -178,7 +203,7 @@ class JobServer:
                 await self._read_request(reader)
             self.requests += 1
             if path.endswith("/events"):
-                await self._stream_events(writer, path, headers)
+                await self._stream_events(reader, writer, path, headers)
             else:
                 status, payload = self._route(method, path, query, body)
                 await self._respond(writer, status, payload)
@@ -186,6 +211,10 @@ class JobServer:
             await self._respond(writer, err.status, {"error": err.message})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
+        except asyncio.CancelledError:
+            # `stop` cancelled this stream.  End the connection's task
+            # normally: asyncio reports a cancelled one as an error.
+            pass
         except Exception as exc:  # noqa: BLE001 - the server must survive
             try:
                 await self._respond(writer, 500,
@@ -347,8 +376,7 @@ class JobServer:
                                 **run_spec_kwargs(spec))
         except (SpecError, KeyError, TypeError, ValueError):
             return None  # unkeyable spec: just queue it
-        cached = self.state.run_cache.get(key)
-        return cached.to_dict() if cached is not None else None
+        return self.state.run_cache.payload(key)
 
     def _list_jobs(self) -> dict:
         return {"jobs": [job.to_dict(include_result=False)
@@ -390,8 +418,11 @@ class JobServer:
         return round(time.time() - self.started_s, 3)
 
     # -- SSE -----------------------------------------------------------
-    async def _stream_events(self, writer, path: str,
+    async def _stream_events(self, reader, writer, path: str,
                              headers: Optional[dict] = None) -> None:
+        """Replay the job's event log, then follow it until the job is
+        terminal, the client hangs up, or the server stops.  The job's
+        sink wakes the stream per event; nothing polls."""
         match = _JOB_PATH.match(path)
         job = self.queue.jobs.get(match.group(1)) if match else None
         if job is None:
@@ -406,19 +437,41 @@ class JobServer:
         last_id = (headers or {}).get("last-event-id")
         if last_id is not None and last_id.strip().isdigit():
             sent = int(last_id.strip()) + 1
-        while True:
-            # The worker thread only ever appends; reading a snapshot of
-            # the tail is race-free.
-            events = job.events
-            while sent < len(events):
-                blob = json.dumps(events[sent], sort_keys=True)
-                writer.write(f"id: {events[sent]['seq']}\n"
-                             f"data: {blob}\n\n".encode("utf-8"))
-                sent += 1
-            await writer.drain()
-            if job.terminal and sent >= len(job.events):
-                break
-            await asyncio.sleep(_SSE_POLL_S)
+        waiter = Wakeup()
+        job.waiters.add(waiter)
+        hangup = asyncio.ensure_future(_hangup(reader, waiter))
+        task = asyncio.current_task()
+        self._streams.add(task)
+        try:
+            while True:
+                # The worker thread only ever appends; reading a
+                # snapshot of the tail is race-free.
+                events = job.events
+                while sent < len(events):
+                    blob = json.dumps(events[sent], sort_keys=True)
+                    writer.write(f"id: {events[sent]['seq']}\n"
+                                 f"data: {blob}\n\n".encode("utf-8"))
+                    sent += 1
+                await writer.drain()
+                # A stream that opened while `stop` ran missed its
+                # cancel; the closed listener ends it instead.
+                if (job.terminal and sent >= len(job.events)
+                        or hangup.done() or not self._server.is_serving()):
+                    break
+                await waiter.wait()
+        finally:
+            job.waiters.discard(waiter)
+            self._streams.discard(task)
+            hangup.cancel()
+
+
+async def _hangup(reader, waiter: Wakeup) -> None:
+    """Set ``waiter`` once the client closes its end.  An SSE client
+    sends nothing after its request, so any read that returns means it
+    has gone."""
+    with contextlib.suppress(OSError):
+        await reader.read(1)
+    waiter.set()
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,13 @@ marks itself ``failed``; the worker and the server keep serving.  The
 pool also enforces the per-job retry policy (``retries`` /
 ``backoff_s`` in the spec: deterministic exponential backoff, capped)
 and feeds outcomes to the server's `CircuitBreaker`.
+
+An idle worker does not poll.  It waits on the pool's `Wakeup`, which
+the queue sets whenever a job may have become claimable: on submit,
+requeue, adopt and promote (each publishes an event through the
+queue's `Job.sink`) and on ``resume``.  A job requeued into retry
+backoff is claimable only at its ``not_before_s``, so its ``retrying``
+event sets the wakeup on a timer at that time instead of now.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Callable, Optional
 from repro.exec.cache import RunCache, run_cache_key
 from repro.exec.failures import FailureRecord, retry_delay
 from repro.exec.params import accelerator_kwargs
-from repro.serve.jobs import JOB_KINDS, Job, JobQueue
+from repro.serve.jobs import JOB_KINDS, Job, JobQueue, Wakeup
 
 
 class SpecError(ValueError):
@@ -142,32 +149,34 @@ def _job_compile(spec: dict, state: "ServerState", publish) -> dict:
     }
 
 
-def _job_run(spec: dict, state: "ServerState", publish) -> dict:
+def _job_run(spec: dict, state: "ServerState",
+             publish) -> tuple[dict, bool]:
+    """Returns ``(payload, cache_hit)``.  The payload is the run
+    cache's own, hit or miss: every job of one run key shares it, so
+    nothing may mutate it."""
     from repro.exec.context import SimContext
 
     workload = _spec_workload(spec)
     ctx = SimContext(workload, seed=int(spec.get("seed", 7)),
                      verify=bool(spec.get("verify", True)),
-                     cache=state.run_cache,
                      artifact_store=state.artifact_store,
                      timeout_s=spec.get("timeout_s"),
                      **run_spec_kwargs(spec))
-    # Probe before building so a cache hit never pays a compile
-    # (`in` is accounting-neutral; `run()` below does the counted get).
-    will_hit = (state.run_cache is not None
-                and ctx.cache_key() in state.run_cache)
-    if not will_hit:
-        publish("compiling")
-        ctx.build()
-        ctx.stage()
-        publish("running")
+    # The counted lookup `SimContext.run` would do, before building, so
+    # a cache hit never pays a compile.
+    key = ctx.cache_key()
+    payload = state.run_cache.payload(key)
+    if payload is not None:
+        # engine None: no simulation ran.
+        publish("cache_hit", cycles=payload["cycles"], engine=None)
+        return payload, True
+    publish("compiling")
+    ctx.build()
+    ctx.stage()
+    publish("running")
     result = ctx.run()
-    # engine_used is None on a cache hit: no simulation ran.
-    publish("cache_hit" if ctx.cache_hit else "ran",
-            cycles=result.cycles, engine=ctx.engine_used)
-    payload = result.to_dict()
-    payload["__cache_hit__"] = ctx.cache_hit
-    return payload
+    publish("ran", cycles=result.cycles, engine=ctx.engine_used)
+    return state.run_cache.put(key, result), False
 
 
 def _job_sweep(spec: dict, state: "ServerState", publish) -> dict:
@@ -280,16 +289,19 @@ def execute_job(job: Job, state: ServerState) -> tuple[Optional[dict],
     """Run one job body; returns ``(result, failure, cache_hit)``.
 
     Runs inside an executor thread.  ``job.publish`` is the only thing
-    it touches concurrently with the event loop, and that is a bare
-    list append (plus the lock-guarded journal sink).
+    it touches concurrently with the event loop: a bare list append,
+    then the queue's sink (the lock-guarded journal, and wakeups that
+    hop to the loop).
     """
     body = _BODIES.get(job.kind)
     try:
         if body is None:
             raise SpecError(f"unknown job kind '{job.kind}' "
                             f"(expected one of {', '.join(JOB_KINDS)})")
-        result = body(job.spec, state, job.publish)
-        cache_hit = bool(result.pop("__cache_hit__", False))
+        outcome = body(job.spec, state, job.publish)
+        # A run body answers (payload, cache_hit); the others a result.
+        result, cache_hit = (outcome if isinstance(outcome, tuple)
+                             else (outcome, False))
         return result, None, cache_hit
     except Exception as exc:  # noqa: BLE001 - jobs fail, servers don't
         return None, FailureRecord.from_exception(exc), False
@@ -309,12 +321,10 @@ class WorkerPool:
     """
 
     def __init__(self, queue: JobQueue, state: ServerState,
-                 workers: int = 2, poll_s: float = 0.02,
-                 breaker=None) -> None:
+                 workers: int = 2, breaker=None) -> None:
         self.queue = queue
         self.state = state
         self.workers = max(1, int(workers))
-        self.poll_s = poll_s
         self.breaker = breaker
         self._executor: Optional[ThreadPoolExecutor] = None
         self._tasks: list = []
@@ -325,6 +335,7 @@ class WorkerPool:
 
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve")
+        self.queue.work = Wakeup()
         self._tasks = [asyncio.create_task(self._worker_loop(i))
                        for i in range(self.workers)]
 
@@ -332,10 +343,11 @@ class WorkerPool:
         import asyncio
 
         loop = asyncio.get_running_loop()
+        work = self.queue.work
         while not self._stopping:
             job = self.queue.claim()
             if job is None:
-                await asyncio.sleep(self.poll_s)
+                await work.wait()
                 continue
             result, failure, cache_hit = await loop.run_in_executor(
                 self._executor, execute_job, job, self.state)
@@ -363,6 +375,7 @@ class WorkerPool:
         import asyncio
 
         self._stopping = True
+        self.queue.work = None
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:

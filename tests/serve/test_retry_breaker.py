@@ -244,3 +244,40 @@ def test_breaker_probe_after_cooldown_executes_for_real():
         assert probe["failure"]["error_type"] == "KeyError"  # really ran
         assert probe["attempts"] == 1
         assert client.stats()["queue"]["executed"] == 2
+
+
+def test_backoff_expiry_wakes_an_idle_pool(monkeypatch):
+    # Nothing else is submitted: only the retry's own timer can wake
+    # the worker at the job's not_before_s, and nothing re-checks the
+    # queue while the job backs off.
+    gates = []
+    claims = []
+    requeue = JobQueue.requeue
+    claim = JobQueue.claim
+
+    def recording_requeue(self, job, delay_s=0.0, reason=None):
+        requeue(self, job, delay_s=delay_s, reason=reason)
+        gates.append(job.not_before_s)
+
+    def recording_claim(self):
+        job = claim(self)
+        claims.append((bool(gates), job is not None))
+        return job
+
+    monkeypatch.setattr(JobQueue, "requeue", recording_requeue)
+    monkeypatch.setattr(JobQueue, "claim", recording_claim)
+    with start_server_thread(workers=1) as handle:
+        client = ServeClient(port=handle.port)
+        spec = dict(FAILING_SPEC, retries=1, backoff_s=0.3)
+        job = client.wait(client.submit("run", spec)["id"], timeout=10.0)
+        assert job["attempts"] == 2
+        starts = [e["t"] for e in client.events(job["id"], reconnect=False)
+                  if e["event"] == "running"]
+    assert len(gates) == 1 and len(starts) == 2
+    # Event times are rounded to the microsecond.
+    assert gates[0] - 1e-6 <= starts[1] <= gates[0] + 0.25
+    # While backing off, the queue is checked once: by the worker right
+    # after its requeue.
+    backing_off = claims[claims.index((True, False)):
+                         claims.index((True, True))]
+    assert backing_off == [(True, False)]
